@@ -22,7 +22,15 @@ FlowFactory::~FlowFactory() = default;
 
 std::vector<PathSpec> FlowFactory::select_paths(std::size_t src, std::size_t dst,
                                                 Rng& rng) {
-  return PathManager::sample_k_with_reuse(topo_.paths(src, dst), config_.subflows, rng);
+  // Draw indices exactly as sample_k_with_reuse would over paths(src, dst),
+  // then materialise only the picked routes.
+  std::vector<PathSpec> picked;
+  picked.reserve(static_cast<std::size_t>(config_.subflows));
+  for (std::size_t i : PathManager::sample_k_indices_with_reuse(
+           topo_.path_count(src, dst), config_.subflows, rng)) {
+    picked.push_back(topo_.path(src, dst, i));
+  }
+  return picked;
 }
 
 Rig* FlowFactory::take_same_pair(std::size_t src, std::size_t dst) {

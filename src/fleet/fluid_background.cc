@@ -24,19 +24,22 @@ FluidBackgroundDriver::FluidBackgroundDriver(Network& net, std::vector<Queue*> q
   assert(config_.users_per_link >= 1);
 
   base_rate_.reserve(queues_.size());
-  cap_fluid_.reserve(queues_.size());
-  saturation_.assign(queues_.size(), 0.0);
+  class_of_.reserve(queues_.size());
 
-  // One fluid link per fabric queue, with the background's capacity share
-  // expressed in MSS/s (the fluid model's rate unit); users_per_link
-  // synthetic users each run a single-link path over their home link.
+  // One fluid link per distinct background capacity (the background's share
+  // of the queue rate, in MSS/s — the fluid model's rate unit); each fabric
+  // queue maps to the class of its capacity. users_per_link synthetic users
+  // each run a single-link path over their class's link.
   for (const Queue* q : queues_) {
     base_rate_.push_back(q->rate());
-    const double cap = config_.share * q->rate() / 8.0 / kMssBytes;
-    cap_fluid_.push_back(std::max(cap, 1.0));
-    fluid_net_.links.push_back(core::FluidLink{cap_fluid_.back()});
+    const double cap = std::max(config_.share * q->rate() / 8.0 / kMssBytes, 1.0);
+    const auto it = std::find(cap_fluid_.begin(), cap_fluid_.end(), cap);
+    class_of_.push_back(static_cast<std::size_t>(it - cap_fluid_.begin()));
+    if (it == cap_fluid_.end()) cap_fluid_.push_back(cap);
   }
-  for (std::size_t l = 0; l < queues_.size(); ++l) {
+  saturation_.assign(cap_fluid_.size(), 0.0);
+  for (std::size_t l = 0; l < cap_fluid_.size(); ++l) {
+    fluid_net_.links.push_back(core::FluidLink{cap_fluid_[l]});
     for (int u = 0; u < config_.users_per_link; ++u) {
       core::FluidUser user;
       user.paths.push_back(core::FluidPath{{l}, config_.rtt_s});
@@ -60,15 +63,19 @@ void FluidBackgroundDriver::stop() {
 void FluidBackgroundDriver::tick() {
   ++ticks_;
   const double cadence_s = to_seconds(config_.cadence);
-  // Advance the background ODE by one cadence (RK4, 8 steps per cadence —
-  // plenty for these smooth single-link dynamics).
+  // Advance the background ODE by one cadence (RK4 at cadence/8 — plenty
+  // for these smooth single-link dynamics). integrate()'s float time
+  // accumulation takes a ninth step at a 50 ms cadence; the golden bank
+  // pins that (docs/FLEET.md, "Known deviation").
   state_ = model_->integrate(std::move(state_), cadence_s / 8.0, cadence_s);
   const std::vector<double> loads = model_->link_loads(state_);
 
+  for (std::size_t c = 0; c < cap_fluid_.size(); ++c) {
+    saturation_[c] = std::clamp(loads[c] / cap_fluid_[c], 0.0, 1.0);
+  }
   for (std::size_t i = 0; i < queues_.size(); ++i) {
     Queue* q = queues_[i];
-    const double sat = std::clamp(loads[i] / cap_fluid_[i], 0.0, 1.0);
-    saturation_[i] = sat;
+    const double sat = saturation_[class_of_[i]];
     // Service-rate pressure: the background occupies share*sat of the link.
     const double fraction =
         std::max(1.0 - config_.share * sat, kMinRateFraction);

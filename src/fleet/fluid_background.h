@@ -20,6 +20,13 @@
 // Everything here is pure double arithmetic on a deterministic cadence plus
 // counter-based drops — no randomness — so hybrid runs stay bit-identical
 // across --jobs and --resume.
+//
+// Every background user runs a single-link path, so fluid links never
+// interact: links of equal capacity, starting from the same state, follow
+// bit-identical trajectories. The driver therefore integrates one fluid link
+// (with its users_per_link users) per distinct background capacity and maps
+// each fabric queue to its capacity class — a FatTree fabric of 4096 equal
+// links integrates one.
 #pragma once
 
 #include <memory>
@@ -65,8 +72,10 @@ class FluidBackgroundDriver {
 
   /// Fluid background load on queue `i`'s link, as a fraction of the share
   /// handed to the background (diagnostics/tests).
-  double saturation(std::size_t i) const { return saturation_[i]; }
+  double saturation(std::size_t i) const { return saturation_[class_of_[i]]; }
   std::size_t num_links() const { return queues_.size(); }
+  /// Distinct background capacities, i.e. fluid links actually integrated.
+  std::size_t num_classes() const { return cap_fluid_.size(); }
   std::uint64_t ticks() const { return ticks_; }
 
  private:
@@ -80,9 +89,10 @@ class FluidBackgroundDriver {
   std::unique_ptr<core::FluidModel> model_;
   core::FluidState state_;
 
-  std::vector<Rate> base_rate_;      ///< configured queue rates (100%)
-  std::vector<double> cap_fluid_;    ///< background capacity per link, MSS/s
-  std::vector<double> saturation_;   ///< last tick's load/capacity per link
+  std::vector<Rate> base_rate_;        ///< configured queue rates (100%)
+  std::vector<std::size_t> class_of_;  ///< queue -> capacity class (fluid link)
+  std::vector<double> cap_fluid_;      ///< background capacity per class, MSS/s
+  std::vector<double> saturation_;     ///< last tick's load/capacity per class
   PeriodicTimer timer_;
   std::uint64_t ticks_ = 0;
 };

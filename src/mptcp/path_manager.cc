@@ -30,14 +30,22 @@ void PathManager::random_k_with_reuse(MptcpConnection& conn,
 
 std::vector<PathSpec> PathManager::sample_k_with_reuse(
     const std::vector<PathSpec>& paths, int k, Rng& rng) {
-  std::vector<std::size_t> order(paths.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  rng.shuffle(order);
   std::vector<PathSpec> picked;
   picked.reserve(static_cast<std::size_t>(k));
-  for (int i = 0; i < k; ++i) {
-    picked.push_back(paths[order[static_cast<std::size_t>(i) % order.size()]]);
+  for (std::size_t i : sample_k_indices_with_reuse(paths.size(), k, rng)) {
+    picked.push_back(paths[i]);
   }
+  return picked;
+}
+
+std::vector<std::size_t> PathManager::sample_k_indices_with_reuse(std::size_t n, int k,
+                                                                  Rng& rng) {
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  rng.shuffle(order);
+  // With k > n the picks wrap around the shuffled order.
+  std::vector<std::size_t> picked(static_cast<std::size_t>(k));
+  for (std::size_t i = 0; i < picked.size(); ++i) picked[i] = order[i % n];
   return picked;
 }
 

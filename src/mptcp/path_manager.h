@@ -36,6 +36,12 @@ class PathManager {
   /// MptcpConnection::rebind_paths (fleet rig recycling).
   static std::vector<PathSpec> sample_k_with_reuse(const std::vector<PathSpec>& paths,
                                                    int k, Rng& rng);
+
+  /// The indices sample_k_with_reuse picks out of `n` paths, drawing the
+  /// same random numbers — for callers that materialise only the picked
+  /// paths (Topology::path).
+  static std::vector<std::size_t> sample_k_indices_with_reuse(std::size_t n, int k,
+                                                              Rng& rng);
 };
 
 }  // namespace mpcc

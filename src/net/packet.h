@@ -2,8 +2,10 @@
 //
 // Packets are value types moved hop-to-hop (no shared ownership, no pool):
 // a hop either forwards the packet or drops it on the floor, so lifetime is
-// trivially correct. A packet carries its full source route (htsim-style)
-// and an index of the next hop.
+// trivially correct. A packet carries its source route (htsim-style) as a
+// cursor into the route's hop array: the slot of the hop that receives it
+// next. The layout is one 64-byte cache line: the type and the four flags
+// share the first 8 bytes, then seven 8-byte words.
 #pragma once
 
 #include <cstdint>
@@ -12,7 +14,7 @@
 
 namespace mpcc {
 
-class Route;
+class PacketHandler;
 
 enum class PacketType : std::uint8_t { kData, kAck };
 
@@ -23,6 +25,17 @@ inline constexpr Bytes kDefaultMss = 1460;
 
 struct Packet {
   PacketType type = PacketType::kData;
+
+  /// ECN: sender marks capability; queues set CE; sinks echo ECE on ACKs.
+  bool ecn_capable = false;
+  bool ecn_ce = false;
+  bool ecn_echo = false;
+
+  /// Payload/header corruption (chaos fault injection). Models a checksum
+  /// failure: endpoints discard corrupted segments without acknowledging
+  /// them, so recovery rides the normal loss machinery. There is no payload
+  /// content to flip — the flag IS the corruption.
+  bool corrupted = false;
 
   /// Identifies the sending TcpSrc/subflow; the sink echoes it on ACKs.
   std::uint64_t flow_id = 0;
@@ -42,32 +55,21 @@ struct Packet {
   SimTime ts = 0;
   SimTime ts_echo = 0;
 
-  /// ECN: sender marks capability; queues set CE; sinks echo ECE on ACKs.
-  bool ecn_capable = false;
-  bool ecn_ce = false;
-  bool ecn_echo = false;
-
-  /// Payload/header corruption (chaos fault injection). Models a checksum
-  /// failure: endpoints discard corrupted segments without acknowledging
-  /// them, so recovery rides the normal loss machinery. There is no payload
-  /// content to flip — the flag IS the corruption.
-  bool corrupted = false;
-
-  /// Source route and the index of the hop that should receive the packet
-  /// next.
-  const Route* route = nullptr;
-  std::uint32_t next_hop = 0;
+  /// Source-route cursor: the route slot holding the hop that receives the
+  /// packet next. Set by Route::inject, advanced by Route::forward.
+  PacketHandler* const* hop = nullptr;
 
   /// Total bytes this packet occupies on the wire.
   Bytes wire_size() const { return payload + kHeaderBytes; }
 };
 
+static_assert(sizeof(Packet) == 64, "Packet must stay one 64-byte cache line");
+
 /// Creates a data segment for `flow`.
-Packet make_data_packet(std::uint64_t flow_id, std::int64_t seq, Bytes payload,
-                        const Route* route, SimTime now);
+Packet make_data_packet(std::uint64_t flow_id, std::int64_t seq, Bytes payload, SimTime now);
 
 /// Creates the ACK acknowledging through `cum_ack`, echoing `ts`.
-Packet make_ack_packet(std::uint64_t flow_id, std::int64_t cum_ack, const Route* route,
-                       SimTime now, SimTime ts_echo);
+Packet make_ack_packet(std::uint64_t flow_id, std::int64_t cum_ack, SimTime now,
+                       SimTime ts_echo);
 
 }  // namespace mpcc

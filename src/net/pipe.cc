@@ -59,18 +59,21 @@ void Pipe::receive(Packet pkt) {
   SimTime deliver_at = events_.now() + delay_ + extra;
   if (deliver_at < last_delivery_) deliver_at = last_delivery_;
   last_delivery_ = deliver_at;
+  PacketHandler* next = Route::next_hop(pkt);
   if (verdict == FaultVerdict::kDuplicate) {
     ++accepted_;
-    in_flight_.push_back(InFlight{deliver_at, pkt});  // the twin rides first
+    in_flight_.push_back(InFlight{deliver_at, next, pkt});  // the twin rides first
   }
   ++accepted_;
-  in_flight_.push_back(InFlight{deliver_at, std::move(pkt)});
+  in_flight_.push_back(InFlight{deliver_at, next, std::move(pkt)});
   if (verdict == FaultVerdict::kReorder && in_flight_.size() >= 2) {
-    // Swap packet contents with the predecessor: the delivery schedule (and
-    // with it the monotone clamp and the conservation ledger) is untouched,
-    // but the bytes leave the pipe out of send order.
-    std::swap(in_flight_[in_flight_.size() - 1].pkt,
-              in_flight_[in_flight_.size() - 2].pkt);
+    // Swap packet contents (and their next hops) with the predecessor: the
+    // delivery schedule (and with it the monotone clamp and the conservation
+    // ledger) is untouched, but the bytes leave the pipe out of send order.
+    InFlight& last = in_flight_[in_flight_.size() - 1];
+    InFlight& prev = in_flight_[in_flight_.size() - 2];
+    std::swap(last.next, prev.next);
+    std::swap(last.pkt, prev.pkt);
   }
   if (!event_pending_) {
     event_pending_ = true;
@@ -86,10 +89,11 @@ void Pipe::do_next_event() {
   // Deliver everything due now (simultaneous arrivals collapse into one
   // event when they share a timestamp).
   while (!in_flight_.empty() && in_flight_.front().deliver_at <= events_.now()) {
+    PacketHandler* next = in_flight_.front().next;
     Packet pkt = std::move(in_flight_.front().pkt);
     in_flight_.pop_front();
     ++forwarded_;
-    Route::forward(std::move(pkt));
+    Route::deliver(next, std::move(pkt));
   }
   if (!in_flight_.empty()) {
     event_pending_ = true;

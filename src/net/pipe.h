@@ -92,6 +92,7 @@ class Pipe : public PacketHandler, public EventSource, public PerfFlushable {
  private:
   struct InFlight {
     SimTime deliver_at;
+    PacketHandler* next;  ///< Route::next_hop(pkt), resolved at ingress
     Packet pkt;
   };
 

@@ -157,7 +157,13 @@ class EventList {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
   }
-  static bool entry_greater(const Entry& a, const Entry& b) { return entry_less(b, a); }
+  /// A function object rather than a function: handed to the std sort and
+  /// heap algorithms, a function pointer costs an indirect call per
+  /// comparison.
+  struct EntryGreater {
+    bool operator()(const Entry& a, const Entry& b) const { return entry_less(b, a); }
+  };
+  static constexpr EntryGreater entry_greater{};
 
   /// One pending event's home: cancellation state (gen/live) plus the event
   /// payload and an intrusive chain link. Wheel buckets are singly linked

@@ -182,7 +182,7 @@ void TcpSrc::send_available() {
 }
 
 void TcpSrc::send_segment(std::int64_t seq, const SegmentMeta& meta, bool retransmit) {
-  Packet pkt = make_data_packet(flow_id_, seq, meta.len, forward_, net_.now());
+  Packet pkt = make_data_packet(flow_id_, seq, meta.len, net_.now());
   pkt.data_seq = meta.data_seq;
   pkt.ecn_capable = config_.ecn_capable;
   last_send_time_ = net_.now();

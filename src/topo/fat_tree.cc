@@ -45,69 +45,68 @@ FatTree::FatTree(Network& net, FatTreeConfig config)
 }
 
 std::vector<PathSpec> FatTree::paths(std::size_t src, std::size_t dst) const {
+  const std::size_t n = path_count(src, dst);
   std::vector<PathSpec> out;
-  if (src == dst) return out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) out.push_back(path(src, dst, i));
+  return out;
+}
+
+std::size_t FatTree::path_count(std::size_t src, std::size_t dst) const {
+  if (src == dst) return 0;
+  if (pod_of(src) != pod_of(dst)) return half_ * half_;  // one per core switch
+  if (edge_of(src) != edge_of(dst)) return half_;        // one per agg switch
+  return 1;                                              // same edge switch
+}
+
+PathSpec FatTree::path(std::size_t src, std::size_t dst, std::size_t i) const {
+  assert(i < path_count(src, dst));
   const std::size_t ps = pod_of(src);
   const std::size_t pd = pod_of(dst);
   const std::size_t es = edge_of(src);
   const std::size_t ed = edge_of(dst);
+  // Host links on both ends plus two (intra-pod) or four (inter-pod)
+  // inter-switch links, each a queue and a pipe hop.
+  const std::size_t inter = ps != pd ? 4 : es != ed ? 2 : 0;
 
-  auto base_path = [&](const std::string& name) {
-    PathSpec p;
-    p.name = name;
-    add_link(p.forward, up_he_[src]);
-    add_link(p.reverse, up_he_[dst]);
-    return p;
-  };
-  auto finish_path = [&](PathSpec& p) {
-    add_link(p.forward, down_eh_[dst]);
-    add_link(p.reverse, down_eh_[src]);
-  };
+  PathSpec p;
+  p.forward.reserve(2 * (inter + 2));
+  p.reverse.reserve(2 * (inter + 2));
+  p.inter_switch_hops = static_cast<int>(inter);
+  add_link(p.forward, up_he_[src]);
+  add_link(p.reverse, up_he_[dst]);
 
-  if (ps == pd && es == ed) {
+  if (inter == 0) {
     // Same edge switch: one two-hop path, no inter-switch links.
-    PathSpec p = base_path("edge");
-    finish_path(p);
-    out.push_back(std::move(p));
-    return out;
+    p.name = "edge";
+  } else if (inter == 2) {
+    // Intra-pod: path i crosses aggregation switch a = i.
+    const std::size_t a = i;
+    p.name = "agg" + std::to_string(a);
+    add_link(p.forward, up_ea_[eidx(ps, es, a)]);
+    add_link(p.forward, down_ae_[eidx(pd, ed, a)]);
+    add_link(p.reverse, up_ea_[eidx(pd, ed, a)]);
+    add_link(p.reverse, down_ae_[eidx(ps, es, a)]);
+    p.queues = {up_ea_[eidx(ps, es, a)].queue, down_ae_[eidx(pd, ed, a)].queue};
+  } else {
+    // Inter-pod: path i crosses core switch i = a*(k/2) + j.
+    const std::size_t a = i / half_;
+    const std::size_t j = i % half_;
+    p.name = "core" + std::to_string(i);
+    add_link(p.forward, up_ea_[eidx(ps, es, a)]);
+    add_link(p.forward, up_ac_[aidx(ps, a, j)]);
+    add_link(p.forward, down_ca_[aidx(pd, a, j)]);
+    add_link(p.forward, down_ae_[eidx(pd, ed, a)]);
+    add_link(p.reverse, up_ea_[eidx(pd, ed, a)]);
+    add_link(p.reverse, up_ac_[aidx(pd, a, j)]);
+    add_link(p.reverse, down_ca_[aidx(ps, a, j)]);
+    add_link(p.reverse, down_ae_[eidx(ps, es, a)]);
+    p.queues = {up_ea_[eidx(ps, es, a)].queue, up_ac_[aidx(ps, a, j)].queue,
+                down_ca_[aidx(pd, a, j)].queue, down_ae_[eidx(pd, ed, a)].queue};
   }
-
-  if (ps == pd) {
-    // Intra-pod: one path per aggregation switch.
-    for (std::size_t a = 0; a < half_; ++a) {
-      PathSpec p = base_path("agg" + std::to_string(a));
-      add_link(p.forward, up_ea_[eidx(ps, es, a)]);
-      add_link(p.forward, down_ae_[eidx(pd, ed, a)]);
-      add_link(p.reverse, up_ea_[eidx(pd, ed, a)]);
-      add_link(p.reverse, down_ae_[eidx(ps, es, a)]);
-      p.inter_switch_hops = 2;
-      p.queues = {up_ea_[eidx(ps, es, a)].queue, down_ae_[eidx(pd, ed, a)].queue};
-      finish_path(p);
-      out.push_back(std::move(p));
-    }
-    return out;
-  }
-
-  // Inter-pod: one path per core switch c = a*(k/2) + j.
-  for (std::size_t a = 0; a < half_; ++a) {
-    for (std::size_t j = 0; j < half_; ++j) {
-      PathSpec p = base_path("core" + std::to_string(a * half_ + j));
-      add_link(p.forward, up_ea_[eidx(ps, es, a)]);
-      add_link(p.forward, up_ac_[aidx(ps, a, j)]);
-      add_link(p.forward, down_ca_[aidx(pd, a, j)]);
-      add_link(p.forward, down_ae_[eidx(pd, ed, a)]);
-      add_link(p.reverse, up_ea_[eidx(pd, ed, a)]);
-      add_link(p.reverse, up_ac_[aidx(pd, a, j)]);
-      add_link(p.reverse, down_ca_[aidx(ps, a, j)]);
-      add_link(p.reverse, down_ae_[eidx(ps, es, a)]);
-      p.inter_switch_hops = 4;
-      p.queues = {up_ea_[eidx(ps, es, a)].queue, up_ac_[aidx(ps, a, j)].queue,
-                  down_ca_[aidx(pd, a, j)].queue, down_ae_[eidx(pd, ed, a)].queue};
-      finish_path(p);
-      out.push_back(std::move(p));
-    }
-  }
-  return out;
+  add_link(p.forward, down_eh_[dst]);
+  add_link(p.reverse, down_eh_[src]);
+  return p;
 }
 
 std::vector<const Queue*> FatTree::inter_switch_queues() const {

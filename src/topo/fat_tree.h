@@ -31,6 +31,8 @@ class FatTree final : public Topology {
   }
 
   std::vector<PathSpec> paths(std::size_t src_host, std::size_t dst_host) const override;
+  std::size_t path_count(std::size_t src_host, std::size_t dst_host) const override;
+  PathSpec path(std::size_t src_host, std::size_t dst_host, std::size_t i) const override;
 
   int k() const { return config_.k; }
   std::size_t pod_of(std::size_t host) const { return host / (half_ * half_); }

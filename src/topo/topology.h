@@ -26,6 +26,18 @@ class Topology {
   /// All simple multipath routes from `src_host` to `dst_host`.
   virtual std::vector<PathSpec> paths(std::size_t src_host, std::size_t dst_host) const = 0;
 
+  /// paths(src_host, dst_host).size(), without materialising the routes
+  /// when the topology can count them directly.
+  virtual std::size_t path_count(std::size_t src_host, std::size_t dst_host) const {
+    return paths(src_host, dst_host).size();
+  }
+
+  /// paths(src_host, dst_host)[i] alone, for callers that sample a few of
+  /// many routes (fleet path selection).
+  virtual PathSpec path(std::size_t src_host, std::size_t dst_host, std::size_t i) const {
+    return paths(src_host, dst_host)[i];
+  }
+
   Network& net() { return net_; }
   const Network& net() const { return net_; }
 

@@ -1,5 +1,7 @@
 #include "topo/vl2.h"
 
+#include <cassert>
+
 namespace mpcc {
 
 Vl2::Vl2(Network& net, Vl2Config config) : Topology(net), config_(config) {
@@ -25,50 +27,59 @@ Vl2::Vl2(Network& net, Vl2Config config) : Topology(net), config_(config) {
 }
 
 std::vector<PathSpec> Vl2::paths(std::size_t src, std::size_t dst) const {
+  const std::size_t n = path_count(src, dst);
   std::vector<PathSpec> out;
-  if (src == dst) return out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) out.push_back(path(src, dst, i));
+  return out;
+}
+
+std::size_t Vl2::path_count(std::size_t src, std::size_t dst) const {
+  if (src == dst) return 0;
+  if (tor_of(src) == tor_of(dst)) return 1;  // through the shared ToR
+  return 2 * 2 * config_.num_int;            // src agg x dst agg x int
+}
+
+PathSpec Vl2::path(std::size_t src, std::size_t dst, std::size_t i) const {
+  assert(i < path_count(src, dst));
   const std::size_t ts = tor_of(src);
   const std::size_t td = tor_of(dst);
-
+  PathSpec p;
   if (ts == td) {
-    PathSpec p;
     p.name = "tor";
     add_link(p.forward, up_ht_[src]);
     add_link(p.forward, down_th_[dst]);
     add_link(p.reverse, up_ht_[dst]);
     add_link(p.reverse, down_th_[src]);
-    out.push_back(std::move(p));
-    return out;
+    return p;
   }
 
-  for (std::size_t cs = 0; cs < 2; ++cs) {
-    for (std::size_t cd = 0; cd < 2; ++cd) {
-      const std::size_t as = agg_of(ts, cs);
-      const std::size_t ad = agg_of(td, cd);
-      for (std::size_t i = 0; i < config_.num_int; ++i) {
-        PathSpec p;
-        p.name = "a" + std::to_string(as) + "i" + std::to_string(i) + "a" +
-                 std::to_string(ad);
-        add_link(p.forward, up_ht_[src]);
-        add_link(p.forward, up_ta_[ts * 2 + cs]);
-        add_link(p.forward, up_ai_[ai(as, i)]);
-        add_link(p.forward, down_ia_[ai(ad, i)]);
-        add_link(p.forward, down_at_[td * 2 + cd]);
-        add_link(p.forward, down_th_[dst]);
-        add_link(p.reverse, up_ht_[dst]);
-        add_link(p.reverse, up_ta_[td * 2 + cd]);
-        add_link(p.reverse, up_ai_[ai(ad, i)]);
-        add_link(p.reverse, down_ia_[ai(as, i)]);
-        add_link(p.reverse, down_at_[ts * 2 + cs]);
-        add_link(p.reverse, down_th_[src]);
-        p.inter_switch_hops = 4;
-        p.queues = {up_ta_[ts * 2 + cs].queue, up_ai_[ai(as, i)].queue,
-                    down_ia_[ai(ad, i)].queue, down_at_[td * 2 + cd].queue};
-        out.push_back(std::move(p));
-      }
-    }
-  }
-  return out;
+  // Path i = (cs * 2 + cd) * num_int + int: src agg choice cs, dst agg
+  // choice cd, intermediate switch int.
+  const std::size_t cs = i / (2 * config_.num_int);
+  const std::size_t cd = (i / config_.num_int) % 2;
+  const std::size_t in = i % config_.num_int;
+  const std::size_t as = agg_of(ts, cs);
+  const std::size_t ad = agg_of(td, cd);
+  p.name = "a" + std::to_string(as) + "i" + std::to_string(in) + "a" + std::to_string(ad);
+  p.forward.reserve(12);
+  p.reverse.reserve(12);
+  add_link(p.forward, up_ht_[src]);
+  add_link(p.forward, up_ta_[ts * 2 + cs]);
+  add_link(p.forward, up_ai_[ai(as, in)]);
+  add_link(p.forward, down_ia_[ai(ad, in)]);
+  add_link(p.forward, down_at_[td * 2 + cd]);
+  add_link(p.forward, down_th_[dst]);
+  add_link(p.reverse, up_ht_[dst]);
+  add_link(p.reverse, up_ta_[td * 2 + cd]);
+  add_link(p.reverse, up_ai_[ai(ad, in)]);
+  add_link(p.reverse, down_ia_[ai(as, in)]);
+  add_link(p.reverse, down_at_[ts * 2 + cs]);
+  add_link(p.reverse, down_th_[src]);
+  p.inter_switch_hops = 4;
+  p.queues = {up_ta_[ts * 2 + cs].queue, up_ai_[ai(as, in)].queue,
+              down_ia_[ai(ad, in)].queue, down_at_[td * 2 + cd].queue};
+  return p;
 }
 
 std::vector<const Queue*> Vl2::inter_switch_queues() const {

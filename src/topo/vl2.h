@@ -33,6 +33,8 @@ class Vl2 final : public Topology {
   }
 
   std::vector<PathSpec> paths(std::size_t src_host, std::size_t dst_host) const override;
+  std::size_t path_count(std::size_t src_host, std::size_t dst_host) const override;
+  PathSpec path(std::size_t src_host, std::size_t dst_host, std::size_t i) const override;
 
   std::size_t tor_of(std::size_t host) const { return host / config_.hosts_per_tor; }
   /// The two aggregation switches ToR `t` uplinks to.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <set>
 #include <string>
@@ -16,6 +17,7 @@
 #include "harness/checkpoint.h"
 #include "harness/sweep.h"
 #include "mptcp/path_manager.h"
+#include "obs/perf.h"
 #include "sim/context.h"
 #include "test_util.h"
 #include "topo/two_path.h"
@@ -278,6 +280,74 @@ TEST(FluidBackground, DriverReachesPositiveSaturationAndRestoresOnStop) {
   driver.stop();
   EXPECT_DOUBLE_EQ(fabric[0]->rate(), base);
   EXPECT_EQ(fabric[0]->background_drop_every(), 0u);
+}
+
+// The driver integrates one fluid link per distinct capacity. What it
+// imposes must be bit-equal to the straightforward model with one fluid
+// link (and its users) per queue, and its per-tick cost must scale with the
+// capacity classes, not with the queues.
+TEST(FluidBackground, DedupedDriverMatchesOneLinkPerQueueModel) {
+  SimContext ctx(9);
+  SimContext::Scope scope(ctx);
+  Network net(ctx);
+  std::vector<Queue*> queues;
+  for (int i = 0; i < 64; ++i) {
+    queues.push_back(net.make_queue("q" + std::to_string(i),
+                                    i % 3 == 0 ? mbps(40) : mbps(100), 150'000));
+  }
+  std::vector<Rate> base;
+  for (const Queue* q : queues) base.push_back(q->rate());
+
+  FluidBackgroundConfig bg;
+  bg.share = 0.5;
+  bg.users_per_link = 2;
+  FluidBackgroundDriver driver(net, queues, bg);
+  EXPECT_EQ(driver.num_links(), queues.size());
+  EXPECT_EQ(driver.num_classes(), 2u);
+
+  core::FluidNetwork reference_net;
+  for (std::size_t l = 0; l < queues.size(); ++l) {
+    reference_net.links.push_back({std::max(bg.share * base[l] / 8.0 / 1460.0, 1.0)});
+    for (int u = 0; u < bg.users_per_link; ++u) {
+      core::FluidUser user;
+      user.paths.push_back(core::FluidPath{{l}, bg.rtt_s});
+      reference_net.users.push_back(user);
+    }
+  }
+  const core::FluidModel reference(reference_net, bg.algorithm);
+  core::FluidState x = reference.initial_state(1.0);
+
+  const int ticks = 40;
+  driver.start();
+  const std::uint64_t allocs0 = obs::thread_alloc_count();
+  net.events().run_until(ticks * bg.cadence);
+  const std::uint64_t allocs = obs::thread_alloc_count() - allocs0;
+  ASSERT_EQ(driver.ticks(), static_cast<std::uint64_t>(ticks));
+
+  const double cadence_s = to_seconds(bg.cadence);
+  for (int t = 0; t < ticks; ++t) {
+    x = reference.integrate(std::move(x), cadence_s / 8.0, cadence_s);
+  }
+  const std::vector<double> loads = reference.link_loads(x);
+  for (std::size_t i = 0; i < queues.size(); ++i) {
+    const double sat =
+        std::clamp(loads[i] / reference_net.links[i].capacity, 0.0, 1.0);
+    EXPECT_EQ(driver.saturation(i), sat) << "queue " << i;
+    EXPECT_EQ(queues[i]->rate(), base[i] * std::max(1.0 - bg.share * sat, 0.05))
+        << "queue " << i;
+    const double p = reference_net.loss_scale *
+                     std::pow(sat, reference_net.loss_exponent) * bg.loss_to_drop_scale;
+    const std::uint32_t every =
+        p > 1e-9 ? static_cast<std::uint32_t>(std::clamp(1.0 / p, 2.0, 1e9)) : 0;
+    EXPECT_EQ(queues[i]->background_drop_every(), every) << "queue " << i;
+  }
+  // The two classes really differ, so the mapping is exercised.
+  EXPECT_NE(driver.saturation(0), driver.saturation(1));
+  EXPECT_GT(queues[0]->background_drop_every(), 0u);
+
+  // Two fluid links with two users each cost ~550 allocations a tick; one
+  // link per queue would cost ~16k.
+  EXPECT_LT(allocs / ticks, 1000u);
 }
 
 // ------------------------------------------- fluid vs packet equilibrium

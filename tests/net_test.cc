@@ -1,15 +1,12 @@
 #include <gtest/gtest.h>
 
+#include "cc/registry.h"
+#include "mptcp/connection.h"
 #include "net/network.h"
 #include "traffic/bulk_flow.h"
 
 namespace mpcc {
 namespace {
-
-Packet data_packet(std::uint64_t flow, std::int64_t seq, Bytes payload, const Route* r,
-                   SimTime now) {
-  return make_data_packet(flow, seq, payload, r, now);
-}
 
 class NetTest : public ::testing::Test {
  protected:
@@ -22,7 +19,7 @@ TEST_F(NetTest, QueueSerialisesAtLinkRate) {
   auto* sink = net.emplace<CountingSink>();
   Route* route = net.make_route({q, sink});
 
-  route->inject(data_packet(1, 0, 1460, route, 0));
+  route->inject(make_data_packet(1, 0, 1460, 0));
   net.events().run_until(119 * kMicrosecond);
   EXPECT_EQ(sink->packets(), 0u);
   net.events().run_until(121 * kMicrosecond);
@@ -33,7 +30,7 @@ TEST_F(NetTest, QueueBacklogSerialisesSequentially) {
   Queue* q = net.make_queue("q", mbps(100), 1'000'000);
   auto* sink = net.emplace<CountingSink>();
   Route* route = net.make_route({q, sink});
-  for (int i = 0; i < 5; ++i) route->inject(data_packet(1, i * 1460, 1460, route, 0));
+  for (int i = 0; i < 5; ++i) route->inject(make_data_packet(1, i * 1460, 1460, 0));
   // 5 packets x 120 us.
   net.events().run_until(599 * kMicrosecond);
   EXPECT_EQ(sink->packets(), 4u);
@@ -48,7 +45,7 @@ TEST_F(NetTest, QueueTailDropsWhenBufferFull) {
   Queue* q = net.make_queue("q", mbps(10), 3'000);
   auto* sink = net.emplace<CountingSink>();
   Route* route = net.make_route({q, sink});
-  for (int i = 0; i < 5; ++i) route->inject(data_packet(1, i * 1460, 1460, route, 0));
+  for (int i = 0; i < 5; ++i) route->inject(make_data_packet(1, i * 1460, 1460, 0));
   net.events().run_all();
   EXPECT_EQ(sink->packets(), 2u);
   EXPECT_EQ(q->drops(), 3u);
@@ -59,7 +56,7 @@ TEST_F(NetTest, QueuePacketCapacityLimit) {
   Queue* q = net.make_queue("q", mbps(10), 10'000'000, 3);
   auto* sink = net.emplace<CountingSink>();
   Route* route = net.make_route({q, sink});
-  for (int i = 0; i < 6; ++i) route->inject(data_packet(1, i * 1460, 1460, route, 0));
+  for (int i = 0; i < 6; ++i) route->inject(make_data_packet(1, i * 1460, 1460, 0));
   net.events().run_all();
   EXPECT_EQ(sink->packets(), 3u);
   EXPECT_EQ(q->drops(), 3u);
@@ -69,7 +66,7 @@ TEST_F(NetTest, QueueUtilization) {
   Queue* q = net.make_queue("q", mbps(100), 1'000'000);
   auto* sink = net.emplace<CountingSink>();
   Route* route = net.make_route({q, sink});
-  route->inject(data_packet(1, 0, 1460, route, 0));
+  route->inject(make_data_packet(1, 0, 1460, 0));
   net.events().run_until(240 * kMicrosecond);  // busy 120 of 240 us
   EXPECT_NEAR(q->utilization(net.now()), 0.5, 0.01);
 }
@@ -78,7 +75,7 @@ TEST_F(NetTest, PipeDelaysPackets) {
   Pipe* p = net.make_pipe("p", 10 * kMillisecond);
   auto* sink = net.emplace<CountingSink>();
   Route* route = net.make_route({p, sink});
-  route->inject(data_packet(1, 0, 100, route, 0));
+  route->inject(make_data_packet(1, 0, 100, 0));
   net.events().run_until(10 * kMillisecond - 1);
   EXPECT_EQ(sink->packets(), 0u);
   net.events().run_until(10 * kMillisecond);
@@ -95,9 +92,9 @@ TEST_F(NetTest, PipePreservesFifoOrder) {
   };
   auto* sink = net.emplace<SeqSink>();
   Route* route = net.make_route({p, sink});
-  route->inject(data_packet(1, 1, 10, route, 0));
+  route->inject(make_data_packet(1, 1, 10, 0));
   net.events().run_until(kMillisecond);
-  route->inject(data_packet(1, 2, 10, route, 0));
+  route->inject(make_data_packet(1, 2, 10, 0));
   net.events().run_all();
   ASSERT_EQ(sink->seqs.size(), 2u);
   EXPECT_EQ(sink->seqs[0], 1);
@@ -120,9 +117,9 @@ TEST_F(NetTest, EcnQueueMarksAboveThreshold) {
   auto* sink = net.emplace<EcnSink>();
   Route* route = net.make_route({q, sink});
 
-  Packet a = data_packet(1, 0, 1460, route, 0);
+  Packet a = make_data_packet(1, 0, 1460, 0);
   a.ecn_capable = true;
-  Packet b = data_packet(1, 1460, 1460, route, 0);
+  Packet b = make_data_packet(1, 1460, 1460, 0);
   b.ecn_capable = true;
   route->inject(std::move(a));
   route->inject(std::move(b));  // queue already holds packet a
@@ -136,7 +133,7 @@ TEST_F(NetTest, EcnQueueIgnoresNonCapablePackets) {
   EcnQueue* q = net.make_ecn_queue("q", mbps(10), 1'000'000, 0);
   auto* sink = net.emplace<CountingSink>();
   Route* route = net.make_route({q, sink});
-  route->inject(data_packet(1, 0, 1460, route, 0));  // not ECN-capable
+  route->inject(make_data_packet(1, 0, 1460, 0));  // not ECN-capable
   net.events().run_all();
   EXPECT_EQ(q->marks(), 0u);
 }
@@ -146,7 +143,7 @@ TEST_F(NetTest, LossyPipeDropsAtConfiguredRate) {
   auto* sink = net.emplace<CountingSink>();
   Route* route = net.make_route({p, sink});
   const int n = 10000;
-  for (int i = 0; i < n; ++i) route->inject(data_packet(1, i, 100, route, 0));
+  for (int i = 0; i < n; ++i) route->inject(make_data_packet(1, i, 100, 0));
   net.events().run_all();
   const double loss =
       static_cast<double>(p->losses()) / static_cast<double>(n);
@@ -158,7 +155,7 @@ TEST_F(NetTest, LossyPipeZeroLossDeliversEverything) {
   LossyPipe* p = net.make_lossy_pipe("p", kMillisecond, 0.0);
   auto* sink = net.emplace<CountingSink>();
   Route* route = net.make_route({p, sink});
-  for (int i = 0; i < 100; ++i) route->inject(data_packet(1, i, 100, route, 0));
+  for (int i = 0; i < 100; ++i) route->inject(make_data_packet(1, i, 100, 0));
   net.events().run_all();
   EXPECT_EQ(sink->packets(), 100u);
 }
@@ -179,7 +176,7 @@ TEST_F(NetTest, LossyPipeJitterKeepsFifo) {
   auto* sink = net.emplace<SeqSink>();
   Route* route = net.make_route({p, sink});
   for (int i = 0; i < 200; ++i) {
-    route->inject(data_packet(1, i, 100, route, 0));
+    route->inject(make_data_packet(1, i, 100, 0));
     net.events().run_until(net.now() + 100 * kMicrosecond);
   }
   net.events().run_all();
@@ -206,7 +203,7 @@ TEST_F(NetTest, LossyPipeJitterBurstNeverReorders) {
   // Bursts of simultaneous packets interleaved with tiny gaps.
   std::int64_t seq = 0;
   for (int burst = 0; burst < 50; ++burst) {
-    for (int i = 0; i < 8; ++i) route->inject(data_packet(1, seq++, 100, route, 0));
+    for (int i = 0; i < 8; ++i) route->inject(make_data_packet(1, seq++, 100, 0));
     net.events().run_until(net.now() + 10 * kMicrosecond);
   }
   net.events().run_all();
@@ -230,10 +227,10 @@ TEST_F(NetTest, PipeSetDelayDecreaseDoesNotReorder) {
   };
   auto* sink = net.emplace<StampSink>(net);
   Route* route = net.make_route({p, sink});
-  route->inject(data_packet(1, 0, 100, route, 0));  // due at 10 ms
+  route->inject(make_data_packet(1, 0, 100, 0));  // due at 10 ms
   net.events().run_until(kMillisecond);
   p->set_delay(kMillisecond);  // would be due at 2 ms — before packet 0
-  route->inject(data_packet(1, 1, 100, route, 0));
+  route->inject(make_data_packet(1, 1, 100, 0));
   net.events().run_all();
   EXPECT_EQ(sink->next, 2);
   // The clamp holds packet 1 until packet 0's delivery instant.
@@ -244,18 +241,18 @@ TEST_F(NetTest, PipeDownDropsArrivalsAndInFlight) {
   Pipe* p = net.make_pipe("p", 10 * kMillisecond);
   auto* sink = net.emplace<CountingSink>();
   Route* route = net.make_route({p, sink});
-  route->inject(data_packet(1, 0, 100, route, 0));
-  route->inject(data_packet(1, 1, 100, route, 0));
+  route->inject(make_data_packet(1, 0, 100, 0));
+  route->inject(make_data_packet(1, 1, 100, 0));
   net.events().run_until(kMillisecond);
   p->set_down(true);
   EXPECT_EQ(p->drop_in_flight(), 2u);
-  route->inject(data_packet(1, 2, 100, route, 0));  // dropped at ingress
+  route->inject(make_data_packet(1, 2, 100, 0));  // dropped at ingress
   net.events().run_all();
   EXPECT_EQ(sink->packets(), 0u);
   EXPECT_EQ(p->down_drops(), 3u);
 
   p->set_down(false);
-  route->inject(data_packet(1, 3, 100, route, 0));
+  route->inject(make_data_packet(1, 3, 100, 0));
   net.events().run_all();
   EXPECT_EQ(sink->packets(), 1u);
 }
@@ -264,10 +261,10 @@ TEST_F(NetTest, QueueDownFlushesBacklogAndDropsArrivals) {
   Queue* q = net.make_queue("q", mbps(10), 1'000'000);
   auto* sink = net.emplace<CountingSink>();
   Route* route = net.make_route({q, sink});
-  for (int i = 0; i < 4; ++i) route->inject(data_packet(1, i * 1460, 1460, route, 0));
+  for (int i = 0; i < 4; ++i) route->inject(make_data_packet(1, i * 1460, 1460, 0));
   net.events().run_until(100 * kMicrosecond);  // first packet mid-serialisation
   q->set_down(true);
-  route->inject(data_packet(1, 4 * 1460, 1460, route, 0));  // dropped at ingress
+  route->inject(make_data_packet(1, 4 * 1460, 1460, 0));  // dropped at ingress
   net.events().run_all();
   // Nothing may come out: the fifo was flushed and the in-service packet is
   // discarded at its serialisation instant.
@@ -276,7 +273,7 @@ TEST_F(NetTest, QueueDownFlushesBacklogAndDropsArrivals) {
   EXPECT_GE(q->down_drops(), 5u);
 
   q->set_down(false);
-  route->inject(data_packet(1, 5 * 1460, 1460, route, 0));
+  route->inject(make_data_packet(1, 5 * 1460, 1460, 0));
   net.events().run_all();
   EXPECT_EQ(sink->packets(), 1u);
 }
@@ -286,7 +283,7 @@ TEST_F(NetTest, QueueSetRateChangesServiceTime) {
   auto* sink = net.emplace<CountingSink>();
   Route* route = net.make_route({q, sink});
   q->set_rate(mbps(10));  // 1500 B now takes 1.2 ms, not 120 us
-  route->inject(data_packet(1, 0, 1460, route, 0));
+  route->inject(make_data_packet(1, 0, 1460, 0));
   net.events().run_until(200 * kMicrosecond);
   EXPECT_EQ(sink->packets(), 0u);
   net.events().run_until(1300 * kMicrosecond);
@@ -303,7 +300,7 @@ TEST_F(NetTest, RedQueueDropsProbabilisticallyBetweenThresholds) {
                                   std::uint64_t{42});
   auto* sink = net.emplace<CountingSink>();
   Route* route = net.make_route({q, sink});
-  for (int i = 0; i < 200; ++i) route->inject(data_packet(1, i * 1460, 1460, route, 0));
+  for (int i = 0; i < 200; ++i) route->inject(make_data_packet(1, i * 1460, 1460, 0));
   net.events().run_all();
   EXPECT_GT(q->early_drops(), 0u);
   EXPECT_GT(sink->packets(), 0u);
@@ -318,6 +315,72 @@ TEST_F(NetTest, RouteAppendSplicesHops) {
   EXPECT_EQ(head.size(), 2u);
   EXPECT_EQ(head.hop(0), q1);
   EXPECT_EQ(head.hop(1), q2);
+}
+
+// A hop that counts the packets it sees and passes them on along their route.
+class Tap final : public PacketHandler {
+ public:
+  void receive(Packet pkt) override {
+    ++packets;
+    Route::forward(std::move(pkt));
+  }
+  std::uint64_t packets = 0;
+};
+
+// The hop array ends in a null sentinel: forwarding past the last hop trips
+// the assert in debug builds and faults on the null handler otherwise, and
+// never reads past the array.
+TEST(RouteDeathTest, PacketRunningOffItsRouteDies) {
+  Network net(1);
+  Route* route = net.make_route({net.emplace<Tap>()});
+  EXPECT_DEATH(route->inject(make_data_packet(1, 0, 100, 0)), "");
+}
+
+// Packets carry a cursor into their route's hop array, and rebind_paths
+// rewrites that array in place (here growing it, so it reallocates). A
+// packet injected after the rebind must walk the new array hop by hop.
+TEST_F(NetTest, RebindOntoLongerPathDeliversThroughEveryHop) {
+  const Link out = net.make_link("out", mbps(100), kMillisecond, 150'000);
+  const Link back = net.make_link("back", mbps(100), kMillisecond, 150'000);
+  PathSpec short_path;
+  short_path.forward = {out.queue, out.pipe};
+  short_path.reverse = {back.queue, back.pipe};
+
+  MptcpConfig config;
+  config.flow_size = 20'000;
+  auto* conn = net.emplace<MptcpConnection>(net, "c", config, make_multipath_cc("lia"));
+  conn->add_subflow(short_path);
+  conn->start(0);
+  net.events().run_until(seconds(1));
+  ASSERT_TRUE(conn->complete());
+  ASSERT_TRUE(conn->drained());
+  const std::uint64_t short_forwarded = out.queue->forwarded();
+
+  // Three links each way, with a tap behind every forward hop.
+  PathSpec long_path;
+  std::vector<Tap*> taps;
+  for (int i = 0; i < 3; ++i) {
+    const std::string n = std::to_string(i);
+    const Link f = net.make_link("f" + n, mbps(100), kMillisecond, 150'000);
+    const Link r = net.make_link("r" + n, mbps(100), kMillisecond, 150'000);
+    for (PacketHandler* hop : {static_cast<PacketHandler*>(f.queue),
+                               static_cast<PacketHandler*>(f.pipe)}) {
+      taps.push_back(net.emplace<Tap>());
+      long_path.forward.push_back(hop);
+      long_path.forward.push_back(taps.back());
+    }
+    long_path.reverse.push_back(r.queue);
+    long_path.reverse.push_back(r.pipe);
+  }
+  conn->rebind_paths({long_path});
+  conn->begin_flow(20'000);
+  net.events().run_until(net.now() + seconds(1));
+
+  EXPECT_TRUE(conn->complete());
+  EXPECT_EQ(conn->flow_bytes_delivered(), 20'000);
+  EXPECT_EQ(out.queue->forwarded(), short_forwarded);  // old path unused
+  ASSERT_GT(taps.front()->packets, 0u);
+  for (const Tap* tap : taps) EXPECT_EQ(tap->packets, taps.front()->packets);
 }
 
 }  // namespace
