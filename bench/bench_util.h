@@ -5,45 +5,15 @@
 
 #include <cstdio>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "harness/experiment.h"
 #include "harness/scenarios.h"
 #include "harness/sweep.h"
-#include "obs/perf.h"
 #include "stats/summary.h"
 #include "util/csv.h"
 
 namespace mpcc::bench {
-
-/// Build/host provenance object every BENCH_*.json emitter embeds under
-/// "env": git SHA + dirty flag (build-time stamped), compiler, build type,
-/// flags, hardware_threads. One shared spelling so BENCH trajectories are
-/// comparable across PRs — see docs/BENCHMARKS.md.
-///
-/// Warns (once, stderr) when the provenance is untrustworthy: a dirty
-/// checkout means the stamped SHA does not describe the code that was
-/// benchmarked, and an "unknown" SHA means the build escaped the stamping
-/// machinery entirely (non-CMake build or no git checkout).
-inline std::string bench_env_json() {
-  static const bool warned = [] {
-    const obs::BuildInfo& info = obs::build_info();
-    if (info.git_dirty) {
-      std::fprintf(stderr,
-                   "warning: benchmarking a dirty checkout — env.git_sha %s "
-                   "does not describe the code under test\n",
-                   info.git_sha);
-    } else if (std::string_view(info.git_sha) == "unknown") {
-      std::fprintf(stderr,
-                   "warning: build has no git provenance (env.git_sha "
-                   "\"unknown\"); BENCH_*.json will not be attributable\n");
-    }
-    return true;
-  }();
-  (void)warned;
-  return obs::bench_env_json();
-}
 
 /// Prints the standard bench banner: which figure, what the paper reports,
 /// and what this harness regenerates.

@@ -1,62 +1,28 @@
 #!/usr/bin/env python3
-"""Validate a BENCH_*.json emitted by the mpcc tools.
+"""Validate a BENCH_core.json emitted by tools/mpcc_bench.
 
 Usage: check_bench_json.py FILE [--no-ab] [--baseline PREV.json]
 
-The document flavor is auto-detected:
-  core      mpcc_bench=1 schema from tools/mpcc_bench (BENCH_core.json)
-  fleet     mpcc_fleet=1 schema from tools/mpcc_fleet_bench
-            (BENCH_fleet.json)
-  chaos     mpcc_chaos=1 schema from tools/mpcc_chaos_bench
-            (BENCH_chaos.json)
-  sweep     flat scaling doc with points_per_sec (BENCH_sweep.json)
-  results   env provenance + nested "results" dict of numeric leaves
-            (BENCH_guard.json, BENCH_handover.json)
+FILE (and PREV.json) must be an mpcc_bench=1 document; any other schema
+is malformed.
 
 Exit codes:
   0  well-formed and every enabled gate passed
   1  well-formed but a measured gate failed: the MPCC_NO_PERF overhead
-     reached its target, or (with --baseline) a metric regressed more
-     than 10% against the previous file of the same flavor. Retryable
-     failures: the gated quantities measure noisy wall-clock effects and
-     a loaded host can push one attempt over the line.
-  2  malformed output (missing keys, too few benchmarks, zero counters,
-     or a baseline of a different flavor) — a real bug, not worth
-     retrying
+     reached its target, or (with --baseline) a benchmark regressed more
+     than 10% against the previous file. Retryable failures: the gated
+     quantities measure noisy wall-clock effects and a loaded host can
+     push one attempt over the line.
+  2  malformed output (wrong schema, missing keys, too few benchmarks,
+     zero counters) — a real bug, not worth retrying
 
-core shape: schema tag, env provenance (git_sha/compiler/build_type/
+Shape: schema tag, env provenance (git_sha/compiler/build_type/
 hardware_threads), >= 6 named benchmarks each with ops/wall_s/perf,
 nonzero events_dispatched on every benchmark that drives a simulation,
 and a perf_overhead block with overhead_pct below target_pct.
 --baseline compares per-benchmark perf.events_per_sec (must not drop
 >10%) and perf.allocs_per_event (must not rise >10%, with a small
 absolute grace so 0-vs-0.001 jitter does not gate).
-
-fleet shape: scenario, flows > 0, flows_completed > 0, wall_s > 0,
-flows_per_sec > 0, an fct_ms percentile block, and env provenance.
---baseline gates flows_per_sec (must not drop >10%); the FCT
-percentiles measure the simulated workload, not the simulator, and are
-reported only.
-
-chaos shape: profile, seeds > 0, faults > 0, injected > 0,
-oracle_checks > 0, oracle_violations (MUST be 0 — a nonzero count is a
-gate failure even without --baseline), recovery_s, mtbf_s, and env
-provenance. --baseline gates recovery_s: the new worst recovery time
-must not exceed max(old * 1.10, old + RECOVERY_ABS_GRACE_S). The
-absolute grace matters because a fully-healed campaign reports
-recovery_s = 0 and a bare 10% gate on zero would reject any nonzero
-recovery, however small.
-
-sweep shape: scenario, points > 0, jobs >= 1, wall_s > 0,
-points_per_sec > 0. --baseline gates points_per_sec (must not drop
->10%).
-
-results shape: env provenance plus a non-empty "results" dict whose
-(possibly one-level-nested) leaves are all numbers. --baseline compares
-every leaf present in both files: drift beyond
-max(0.01, 10% * |old|) gates, except leaves whose name contains
-"wall_s" (host timing, reported but never gated). Leaves only on one
-side are reported, not gated.
 """
 import json
 import sys
@@ -64,11 +30,10 @@ import sys
 # --baseline gate thresholds.
 REGRESSION_TOLERANCE = 0.10   # fractional change allowed before gating
 ALLOC_ABS_GRACE = 0.01        # allocs/event floor: below this, never gate
-LEAF_ABS_GRACE = 0.01         # results-leaf floor: drift below this never gates
-RECOVERY_ABS_GRACE_S = 0.5    # chaos recovery_s slack on top of the 10%
 
 # Benchmarks that only exercise non-sim code paths (no event loop).
-NO_EVENTS_OK = {"psi_eval", "pool_churn"}
+NO_EVENTS_OK = {"psi_eval", "pool_churn", "eps_exact", "eps_fixed",
+                "eps_taylor3"}
 
 ENV_KEYS = ("git_sha", "compiler", "build_type", "hardware_threads")
 BENCH_KEYS = ("name", "ops", "wall_s", "ns_per_op", "perf")
@@ -83,38 +48,17 @@ def malformed(msg):
     sys.exit(2)
 
 
-def load_json(path):
+def load_bench(path):
     try:
-        return json.load(open(path))
+        doc = json.load(open(path))
     except (OSError, ValueError) as e:
         malformed("cannot parse %s: %s" % (path, e))
+    if not isinstance(doc, dict) or doc.get("mpcc_bench") != 1:
+        malformed("%s is not an mpcc_bench=1 document" % path)
+    return doc
 
 
-def detect_flavor(doc, path):
-    if not isinstance(doc, dict):
-        malformed("%s is not a JSON object" % path)
-    if doc.get("mpcc_bench") == 1:
-        return "core"
-    # Before the sweep probe: fleet docs also carry per-second rate keys.
-    if doc.get("mpcc_fleet") == 1:
-        return "fleet"
-    if doc.get("mpcc_chaos") == 1:
-        return "chaos"
-    if "points_per_sec" in doc:
-        return "sweep"
-    if isinstance(doc.get("results"), dict):
-        return "results"
-    malformed("%s matches no known flavor (core/fleet/chaos/sweep/results)"
-              % path)
-
-
-def is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-# ------------------------------------------------------------------ core
-
-def check_core_baseline(doc, prev, baseline_path):
+def check_baseline(doc, prev):
     """Gates the new benchmarks against a previous BENCH_core.json.
 
     Returns the number of >10% regressions (events_per_sec drop or
@@ -155,7 +99,7 @@ def check_core_baseline(doc, prev, baseline_path):
     return regressions
 
 
-def check_core(doc, baseline, check_ab):
+def check(doc, baseline, check_ab):
     env = doc.get("env")
     if not isinstance(env, dict):
         malformed("missing env provenance object")
@@ -185,7 +129,7 @@ def check_core(doc, baseline, check_ab):
 
     failed = False
     if baseline is not None:
-        failed = check_core_baseline(doc, baseline, None) > 0
+        failed = check_baseline(doc, baseline) > 0
 
     if check_ab:
         ab = doc.get("perf_overhead")
@@ -197,214 +141,6 @@ def check_core(doc, baseline, check_ab):
         if pct >= target:
             failed = True
     return failed
-
-
-# ----------------------------------------------------------------- fleet
-
-def check_fleet(doc, baseline):
-    env = doc.get("env")
-    if not isinstance(env, dict):
-        malformed("missing env provenance object")
-    for k in ENV_KEYS:
-        if k not in env:
-            malformed("env lacks %r" % k)
-    for k in ("scenario", "flows", "flows_completed", "flows_per_sec",
-              "wall_s", "fct_ms", "perf"):
-        if k not in doc:
-            malformed("fleet doc lacks %r" % k)
-    if not is_number(doc["flows"]) or doc["flows"] <= 0:
-        malformed("fleet doc started no flows")
-    if not is_number(doc["flows_completed"]) or doc["flows_completed"] <= 0:
-        malformed("fleet doc completed no flows")
-    if not is_number(doc["wall_s"]) or doc["wall_s"] <= 0:
-        malformed("fleet doc measured no wall time")
-    if not is_number(doc["flows_per_sec"]) or doc["flows_per_sec"] <= 0:
-        malformed("fleet doc has flows_per_sec <= 0")
-    fct = doc["fct_ms"]
-    if not isinstance(fct, dict):
-        malformed("fleet doc fct_ms is not an object")
-    for k in ("p50", "p99", "p999"):
-        if not is_number(fct.get(k)) or fct[k] <= 0:
-            malformed("fleet doc fct_ms lacks a positive %r" % k)
-    if doc["perf"].get("events_dispatched", 0) <= 0:
-        malformed("fleet doc dispatched no events")
-    print("check_bench_json: fleet doc ok (%s, %d/%d flows, %.0f flows/s, "
-          "fct p99 %.2f ms)"
-          % (doc["scenario"], doc["flows_completed"], doc["flows"],
-             doc["flows_per_sec"], fct["p99"]))
-
-    if baseline is None:
-        return False
-    # Only the wall-clock throughput gates; FCT percentiles and goodput are
-    # workload properties already pinned exactly by the golden bank.
-    old = baseline.get("flows_per_sec", 0.0)
-    new = doc["flows_per_sec"]
-    if is_number(old) and old > 0 and new < old * (1.0 - REGRESSION_TOLERANCE):
-        print("check_bench_json: REGRESSION flows_per_sec %.0f -> %.0f "
-              "(%.1f%%)" % (old, new, (new / old - 1.0) * 100.0),
-              file=sys.stderr)
-        print("check_bench_json: baseline gate compared 1 metric, "
-              "1 regression(s)")
-        return True
-    print("check_bench_json: baseline gate compared 1 metric, "
-          "0 regression(s)")
-    return False
-
-
-# ----------------------------------------------------------------- chaos
-
-def check_chaos(doc, baseline):
-    env = doc.get("env")
-    if not isinstance(env, dict):
-        malformed("missing env provenance object")
-    for k in ENV_KEYS:
-        if k not in env:
-            malformed("env lacks %r" % k)
-    for k in ("profile", "seeds", "recovery_s", "mtbf_s", "faults",
-              "injected", "oracle_checks", "oracle_violations", "wall_s",
-              "perf"):
-        if k not in doc:
-            malformed("chaos doc lacks %r" % k)
-    if not is_number(doc["seeds"]) or doc["seeds"] <= 0:
-        malformed("chaos doc ran no seeds")
-    if not is_number(doc["faults"]) or doc["faults"] <= 0:
-        malformed("chaos doc injected no faults (vacuous campaign)")
-    if not is_number(doc["injected"]) or doc["injected"] <= 0:
-        malformed("chaos doc perturbed no packets")
-    if not is_number(doc["oracle_checks"]) or doc["oracle_checks"] <= 0:
-        malformed("chaos doc ran no oracle audits")
-    if not is_number(doc["recovery_s"]) or not is_number(doc["mtbf_s"]):
-        malformed("chaos doc recovery_s/mtbf_s are not numbers")
-    if doc["perf"].get("events_dispatched", 0) <= 0:
-        malformed("chaos doc dispatched no events")
-    violations = doc["oracle_violations"]
-    if not is_number(violations):
-        malformed("chaos doc oracle_violations is not a number")
-    print("check_bench_json: chaos doc ok (%s profile, %d seeds, %d faults, "
-          "%d oracle checks, worst recovery %.3fs, mtbf %.3fs)"
-          % (doc["profile"], doc["seeds"], doc["faults"],
-             doc["oracle_checks"], doc["recovery_s"], doc["mtbf_s"]))
-
-    failed = False
-    if violations > 0:
-        # A violation is a protocol-contract breach, not measurement noise,
-        # but exit 1 (retryable) so a flaky host-timing interaction gets one
-        # more attempt before humans are paged.
-        print("check_bench_json: ORACLE VIOLATIONS: %d" % violations,
-              file=sys.stderr)
-        failed = True
-
-    if baseline is None:
-        return failed
-    old = baseline.get("recovery_s", -1.0)
-    new = doc["recovery_s"]
-    if is_number(old) and old >= 0:
-        allowed = max(old * (1.0 + REGRESSION_TOLERANCE),
-                      old + RECOVERY_ABS_GRACE_S)
-        if new > allowed:
-            print("check_bench_json: REGRESSION recovery_s %.3f -> %.3f "
-                  "(allowed <= %.3f)" % (old, new, allowed), file=sys.stderr)
-            print("check_bench_json: baseline gate compared 1 metric, "
-                  "1 regression(s)")
-            return True
-    print("check_bench_json: baseline gate compared 1 metric, "
-          "0 regression(s)")
-    return failed
-
-
-# ----------------------------------------------------------------- sweep
-
-def check_sweep(doc, baseline):
-    for k in ("scenario", "points", "jobs", "wall_s", "points_per_sec"):
-        if k not in doc:
-            malformed("sweep doc lacks %r" % k)
-    if not is_number(doc["points"]) or doc["points"] <= 0:
-        malformed("sweep doc has no points")
-    if not is_number(doc["jobs"]) or doc["jobs"] < 1:
-        malformed("sweep doc has jobs < 1")
-    if not is_number(doc["wall_s"]) or doc["wall_s"] <= 0:
-        malformed("sweep doc measured no wall time")
-    if not is_number(doc["points_per_sec"]) or doc["points_per_sec"] <= 0:
-        malformed("sweep doc has points_per_sec <= 0")
-    print("check_bench_json: sweep doc ok (%s, %d points, %.3f points/s)"
-          % (doc["scenario"], doc["points"], doc["points_per_sec"]))
-
-    if baseline is None:
-        return False
-    old = baseline.get("points_per_sec", 0.0)
-    new = doc["points_per_sec"]
-    if is_number(old) and old > 0 and new < old * (1.0 - REGRESSION_TOLERANCE):
-        print("check_bench_json: REGRESSION points_per_sec %.3f -> %.3f "
-              "(%.1f%%)" % (old, new, (new / old - 1.0) * 100.0),
-              file=sys.stderr)
-        print("check_bench_json: baseline gate compared 1 metric, "
-              "1 regression(s)")
-        return True
-    print("check_bench_json: baseline gate compared 1 metric, "
-          "0 regression(s)")
-    return False
-
-
-# --------------------------------------------------------------- results
-
-def flatten_leaves(results, prefix=""):
-    """Flattens a (possibly nested) results dict to {dotted.name: number}.
-
-    Anything that is neither a number nor a dict of such is malformed.
-    """
-    leaves = {}
-    for key, value in sorted(results.items()):
-        name = prefix + key
-        if is_number(value):
-            leaves[name] = float(value)
-        elif isinstance(value, dict):
-            leaves.update(flatten_leaves(value, name + "."))
-        else:
-            malformed("results leaf %r is not a number or group" % name)
-    return leaves
-
-
-def check_results(doc, baseline):
-    env = doc.get("env")
-    if not isinstance(env, dict):
-        malformed("missing env provenance object")
-    for k in ENV_KEYS:
-        if k not in env:
-            malformed("env lacks %r" % k)
-    leaves = flatten_leaves(doc["results"])
-    if not leaves:
-        malformed("results dict is empty")
-    print("check_bench_json: results doc ok (%d leaves, %s, %s)"
-          % (len(leaves), env["compiler"], env["build_type"]))
-
-    if baseline is None:
-        return False
-    old_leaves = flatten_leaves(baseline.get("results", {}))
-    regressions = 0
-    compared = 0
-    for name, new in sorted(leaves.items()):
-        if name not in old_leaves:
-            print("check_bench_json: baseline lacks leaf %r (new metric, "
-                  "not gated)" % name, file=sys.stderr)
-            continue
-        old = old_leaves[name]
-        if "wall_s" in name:
-            # Host timing: too noisy across machines to gate.
-            continue
-        compared += 1
-        allowed = max(LEAF_ABS_GRACE, REGRESSION_TOLERANCE * abs(old))
-        if abs(new - old) > allowed:
-            print("check_bench_json: REGRESSION %s %.6g -> %.6g "
-                  "(allowed drift %.6g)" % (name, old, new, allowed),
-                  file=sys.stderr)
-            regressions += 1
-    for name in old_leaves:
-        if name not in leaves:
-            print("check_bench_json: leaf %r vanished vs baseline" % name,
-                  file=sys.stderr)
-    print("check_bench_json: baseline gate compared %d leaves, "
-          "%d regression(s)" % (compared, regressions))
-    return regressions > 0
 
 
 def main():
@@ -422,28 +158,9 @@ def main():
     if len(args) != 1:
         print(__doc__, file=sys.stderr)
         sys.exit(2)
-    doc = load_json(args[0])
-    flavor = detect_flavor(doc, args[0])
-
-    baseline = None
-    if baseline_path is not None:
-        baseline = load_json(baseline_path)
-        if detect_flavor(baseline, baseline_path) != flavor:
-            malformed("baseline %s is flavor %r, document is %r"
-                      % (baseline_path,
-                         detect_flavor(baseline, baseline_path), flavor))
-
-    if flavor == "core":
-        failed = check_core(doc, baseline, check_ab)
-    elif flavor == "fleet":
-        failed = check_fleet(doc, baseline)
-    elif flavor == "chaos":
-        failed = check_chaos(doc, baseline)
-    elif flavor == "sweep":
-        failed = check_sweep(doc, baseline)
-    else:
-        failed = check_results(doc, baseline)
-    sys.exit(1 if failed else 0)
+    doc = load_bench(args[0])
+    baseline = load_bench(baseline_path) if baseline_path is not None else None
+    sys.exit(1 if check(doc, baseline, check_ab) else 0)
 
 
 if __name__ == "__main__":

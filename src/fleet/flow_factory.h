@@ -95,7 +95,7 @@ class FlowFactory {
   /// stops so parked time draws no energy.
   void release(Rig& rig);
 
-  // Recycling effectiveness, surfaced in fleet results and BENCH_fleet.
+  // Recycling effectiveness, surfaced in fleet results.
   std::uint64_t rigs_created() const { return rigs_created_; }
   std::uint64_t rigs_reused() const { return rigs_reused_; }
   std::uint64_t rigs_rebound() const { return rigs_rebound_; }

@@ -798,7 +798,7 @@ ChaosHealResult run_chaos_heal(SimContext& ctx, const ChaosHealOptions& options)
   result.goodput = throughput(result.bytes_delivered, options.duration);
 
   // Land the self-healing metrics in the faulted run's perf ledger so sweep
-  // checkpoints and BENCH_chaos.json carry them.
+  // checkpoints and the sweep summary carry them.
   ctx.perf().recovery_s = result.recovery_s;
   ctx.perf().mtbf_s = result.mtbf_s;
   return result;

@@ -365,7 +365,7 @@ const BuildInfo& build_info();
 
 /// {"git_sha":...,"git_dirty":...,"compiler":...,"build_type":...,
 ///  "cxx_flags":...,"hardware_threads":N} — the shared provenance object
-/// every BENCH_*.json emitter embeds under "env" (see bench/bench_util.h).
+/// BENCH_core.json (tools/mpcc_bench) and perfbench embed under "env".
 std::string bench_env_json();
 
 }  // namespace mpcc::obs

@@ -12,7 +12,7 @@
 //
 // Cost model: a predicted-true branch per check site. The failure payload
 // (an ostringstream) is only materialised on the failing path. For A/B
-// overhead measurements (BENCH_guard.json) checks can be disabled
+// overhead measurements (docs/ROBUSTNESS.md) checks can be disabled
 // process-wide with set_invariants_enabled(false) or the environment
 // variable MPCC_NO_INVARIANTS=1; this is a benchmarking aid, not a
 // supported production mode.

@@ -3,6 +3,7 @@
 // determinism of results regardless of worker count or invocation order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <fstream>
@@ -348,6 +349,44 @@ TEST(SweepReport, JsonRoundTripsPointCount) {
     ++runs;
   }
   EXPECT_EQ(runs, report.points.size());
+}
+
+// A chaos_heal sweep is the healing baseline (docs/CHAOS.md): perf_total()
+// folds the rows into worst recovery (max), MTBF (min) and total faults
+// (sum), and summary() prints the fault-injection lines only when a
+// campaign touched the sweep.
+TEST(SweepReport, PerfTotalFoldsChaosRowsAndSummaryPrintsThemOnlyIfFaulted) {
+  SweepPlan plan;
+  plan.scenario = "chaos_heal";
+  plan.axes = {{"duration_s", {"6"}}};
+  plan.seeds = 2;
+  const SweepReport chaos = run_sweep(plan);
+  ASSERT_EQ(chaos.points.size(), 2u);
+  double worst_recovery = -1;
+  double min_mtbf = 0;
+  std::uint64_t faults = 0;
+  for (const SweepPointResult& p : chaos.points) {
+    ASSERT_TRUE(p.ok) << p.error;
+    worst_recovery = std::max(worst_recovery, p.values.at("recovery_s"));
+    const double mtbf = p.values.at("mtbf_s");
+    if (mtbf > 0 && (min_mtbf == 0 || mtbf < min_mtbf)) min_mtbf = mtbf;
+    faults += static_cast<std::uint64_t>(p.values.at("faults"));
+  }
+  const obs::PerfStats total = chaos.perf_total();
+  EXPECT_EQ(total.recovery_s, worst_recovery);
+  EXPECT_EQ(total.mtbf_s, min_mtbf);
+  EXPECT_EQ(total.chaos_faults, faults);
+  EXPECT_GT(faults, 0u);
+  const std::string faulted = chaos.summary();
+  EXPECT_NE(faulted.find("\n  chaos "), std::string::npos) << faulted;
+  EXPECT_NE(faulted.find("\n  faults "), std::string::npos) << faulted;
+  EXPECT_NE(faulted.find("\n  healing    worst recovery"), std::string::npos)
+      << faulted;
+
+  const std::string calm = small_two_path_sweep(1).summary();
+  for (const char* line : {"\n  chaos ", "\n  faults ", "\n  healing "}) {
+    EXPECT_EQ(calm.find(line), std::string::npos) << line << "\n" << calm;
+  }
 }
 
 TEST(Sweep, PointFailureIsRecordedNotThrown) {

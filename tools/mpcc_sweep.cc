@@ -28,8 +28,6 @@
 //   --trace-capacity=N     per-run tracer ring capacity
 //   --run-metrics          per-run metric snapshots (needs --out)
 //   --csv=FILE / --json=FILE   merged results
-//   --bench=FILE           also run a --jobs=1 baseline and write a
-//                          BENCH_sweep.json-style wall-clock summary
 //   --quiet                suppress the per-run progress lines
 //
 // Robustness flags (docs/ROBUSTNESS.md): each run executes under a
@@ -66,18 +64,15 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <filesystem>
 
 #include "harness/experiment.h"
 #include "harness/sweep.h"
-#include "obs/perf.h"
 #include "obs/trace.h"
 #include "scenario/builder.h"
 #include "scenario/golden.h"
@@ -92,14 +87,13 @@ using mpcc::harness::ScenarioSpec;
 using mpcc::harness::SweepAxis;
 using mpcc::harness::SweepOptions;
 using mpcc::harness::SweepPlan;
-using mpcc::harness::SweepReport;
 
 // Engine flags; everything else of the form --name=value is a sweep axis.
 const char* const kEngineFlags[] = {
     "--scenario", "--list",           "--list-scenarios", "--seeds",
     "--seed-base", "--jobs",          "--out",            "--trace-categories",
     "--trace-capacity", "--run-metrics", "--csv",         "--json",
-    "--bench",    "--quiet",          "--help",           "--run-timeout",
+    "--quiet",    "--help",           "--run-timeout",
     "--event-budget", "--fail-fast",  "--checkpoint",     "--resume",
     "--scenario-dir", "--validate",   "--update-golden",  "--check-golden",
     "--golden-dir", "--chaos-profile",
@@ -252,44 +246,10 @@ int golden_mode(bool update, const std::string& scenario_dir,
 int usage(const char* argv0) {
   std::printf(
       "usage: %s --scenario=NAME [--param=v1,v2 ...] [--seeds=N] [--jobs=N]\n"
-      "          [--csv=FILE] [--json=FILE] [--out=DIR] [--bench=FILE]\n"
+      "          [--csv=FILE] [--json=FILE] [--out=DIR]\n"
       "       %s --list\n",
       argv0, argv0);
   return 2;
-}
-
-// Writes the BENCH_sweep.json wall-clock summary: parallel points/sec and
-// speedup over the measured --jobs=1 baseline, stamped with the shared
-// build/env provenance (bench/bench_util.h) and the aggregate perf ledger.
-bool write_bench_summary(const std::string& path, const SweepReport& parallel,
-                         const SweepReport& baseline) {
-  std::ofstream os(path);
-  if (!os) return false;
-  const double pts = double(parallel.points.size());
-  const double par_pps = parallel.wall_s > 0 ? pts / parallel.wall_s : 0;
-  const double base_pps = baseline.wall_s > 0 ? pts / baseline.wall_s : 0;
-  const double speedup =
-      parallel.wall_s > 0 ? baseline.wall_s / parallel.wall_s : 0;
-  char buf[512];
-  std::snprintf(buf, sizeof buf,
-                "{\n"
-                "  \"scenario\": \"%s\",\n"
-                "  \"points\": %zu,\n"
-                "  \"jobs\": %d,\n"
-                "  \"hardware_threads\": %u,\n"
-                "  \"wall_s\": %.3f,\n"
-                "  \"points_per_sec\": %.3f,\n"
-                "  \"baseline_jobs\": 1,\n"
-                "  \"baseline_wall_s\": %.3f,\n"
-                "  \"baseline_points_per_sec\": %.3f,\n"
-                "  \"speedup\": %.2f,\n",
-                parallel.scenario.c_str(), parallel.points.size(), parallel.jobs,
-                std::thread::hardware_concurrency(), parallel.wall_s, par_pps,
-                baseline.wall_s, base_pps, speedup);
-  os << buf;
-  os << "  \"perf_total\": " << parallel.perf_total().to_json() << ",\n"
-     << "  \"env\": " << mpcc::obs::bench_env_json() << "\n}\n";
-  return bool(os);
 }
 
 }  // namespace
@@ -420,28 +380,7 @@ int main(int argc, char** argv) {
   }
 
   try {
-    SweepReport report = run_sweep(plan, options);
-
-    const std::string bench_path = arg_string(argc, argv, "--bench", "");
-    if (!bench_path.empty()) {
-      std::fprintf(stderr, "bench: re-running with --jobs=1 for the baseline\n");
-      SweepOptions base_options = options;
-      base_options.jobs = 1;
-      base_options.progress = false;
-      base_options.out_dir.clear();  // don't overwrite per-run artifacts
-      base_options.trace_mask = 0;
-      base_options.per_run_metrics = false;
-      const SweepReport baseline = run_sweep(plan, base_options);
-      if (!write_bench_summary(bench_path, report, baseline)) {
-        std::fprintf(stderr, "cannot write %s\n", bench_path.c_str());
-        return 1;
-      }
-      std::printf("bench: %zu points, jobs=%d %.2fs vs jobs=1 %.2fs (%.2fx)\n",
-                  report.points.size(), report.jobs, report.wall_s,
-                  baseline.wall_s,
-                  report.wall_s > 0 ? baseline.wall_s / report.wall_s : 0.0);
-    }
-
+    const SweepReport report = run_sweep(plan, options);
     report.table().print(std::cout);
     std::fputs(report.summary().c_str(), stderr);
     std::string extras;
