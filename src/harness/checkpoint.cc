@@ -1,164 +1,13 @@
 #include "harness/checkpoint.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+
+#include "util/json.h"
 
 namespace mpcc::harness {
 
 namespace {
-
-// -- writing ---------------------------------------------------------------
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-// %.17g: shortest form guaranteed to round-trip an IEEE double exactly, so
-// restored values are bit-identical to computed ones.
-std::string json_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-// -- parsing ---------------------------------------------------------------
-//
-// A deliberately minimal parser for the subset of JSON this file's own
-// writer emits: flat objects whose values are strings, numbers, booleans,
-// or one level of nested flat object. Not a general JSON parser.
-
-class Cursor {
- public:
-  Cursor(const std::string& text, std::size_t line_no)
-      : text_(text), line_no_(line_no) {}
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t')) {
-      ++pos_;
-    }
-  }
-
-  bool at_end() {
-    skip_ws();
-    return pos_ >= text_.size();
-  }
-
-  char peek() {
-    skip_ws();
-    return pos_ < text_.size() ? text_[pos_] : '\0';
-  }
-
-  void expect(char c) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) {
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          default: c = esc;  // \" and anything else: literal
-        }
-      }
-      out += c;
-    }
-    if (pos_ >= text_.size()) fail("unterminated string");
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  double parse_number() {
-    skip_ws();
-    const char* start = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    if (end == start) fail("expected number");
-    pos_ += static_cast<std::size_t>(end - start);
-    return v;
-  }
-
-  bool parse_bool() {
-    skip_ws();
-    if (text_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      return true;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      return false;
-    }
-    fail("expected true/false");
-    return false;
-  }
-
-  [[noreturn]] void fail(const std::string& why) const {
-    throw std::invalid_argument("checkpoint line " + std::to_string(line_no_) +
-                                ", col " + std::to_string(pos_ + 1) + ": " + why);
-  }
-
- private:
-  const std::string& text_;
-  std::size_t line_no_;
-  std::size_t pos_ = 0;
-};
-
-ParamMap parse_string_object(Cursor& cur) {
-  ParamMap out;
-  cur.expect('{');
-  if (cur.consume('}')) return out;
-  do {
-    const std::string key = cur.parse_string();
-    cur.expect(':');
-    out[key] = cur.parse_string();
-  } while (cur.consume(','));
-  cur.expect('}');
-  return out;
-}
-
-ResultRow parse_number_object(Cursor& cur) {
-  ResultRow out;
-  cur.expect('{');
-  if (cur.consume('}')) return out;
-  do {
-    const std::string key = cur.parse_string();
-    cur.expect(':');
-    out[key] = cur.parse_number();
-  } while (cur.consume(','));
-  cur.expect('}');
-  return out;
-}
 
 // Parses one run line into an entry. Returns false (without throwing) when
 // the line is torn — i.e. parsing ran off the end — so a checkpoint whose
@@ -166,79 +15,32 @@ ResultRow parse_number_object(Cursor& cur) {
 bool parse_entry_line(const std::string& line, std::size_t line_no,
                       CheckpointEntry& entry) {
   try {
-    Cursor cur(line, line_no);
-    cur.expect('{');
-    bool first = true;
-    while (!cur.consume('}')) {
-      if (!first) cur.expect(',');
-      first = false;
-      const std::string key = cur.parse_string();
-      cur.expect(':');
+    json::Cursor cur(line, "checkpoint line " + std::to_string(line_no));
+    cur.fields([&](const std::string& key) {
       if (key == "index") {
-        entry.index = static_cast<std::size_t>(cur.parse_number());
+        entry.index = static_cast<std::size_t>(cur.number());
       } else if (key == "ok") {
-        entry.ok = cur.parse_bool();
+        entry.ok = cur.boolean();
       } else if (key == "kind") {
-        entry.kind = run_error_kind_from_name(cur.parse_string());
+        entry.kind = run_error_kind_from_name(cur.string());
       } else if (key == "wall_ms") {
-        entry.wall_ms = cur.parse_number();
+        entry.wall_ms = cur.number();
       } else if (key == "sim_time_ns") {
-        entry.sim_time = static_cast<SimTime>(cur.parse_number());
+        entry.sim_time = static_cast<SimTime>(cur.number());
       } else if (key == "error") {
-        entry.error = cur.parse_string();
+        entry.error = cur.string();
       } else if (key == "domain") {
-        entry.domain = cur.parse_string();
+        entry.domain = cur.string();
       } else if (key == "params") {
-        entry.params = parse_string_object(cur);
+        entry.params = cur.string_object();
       } else if (key == "values") {
-        entry.values = parse_number_object(cur);
+        entry.values = cur.number_object();
       } else if (key == "perf") {
-        const ResultRow pf = parse_number_object(cur);
-        const auto u64 = [&pf](const char* name) {
-          const auto it = pf.find(name);
-          return it != pf.end() ? static_cast<std::uint64_t>(it->second)
-                                : std::uint64_t{0};
-        };
-        const auto f64 = [&pf](const char* name) {
-          const auto it = pf.find(name);
-          return it != pf.end() ? it->second : 0.0;
-        };
-        entry.perf.events_dispatched = u64("events_dispatched");
-        entry.perf.timers_fired = u64("timers_fired");
-        entry.perf.packets_enqueued = u64("packets_enqueued");
-        entry.perf.packets_forwarded = u64("packets_forwarded");
-        entry.perf.packets_dropped = u64("packets_dropped");
-        entry.perf.down_drops = u64("down_drops");
-        entry.perf.flight_drops = u64("flight_drops");
-        entry.perf.flows_dead = u64("flows_dead");
-        entry.perf.chaos_corrupted = u64("chaos_corrupted");
-        entry.perf.chaos_reordered = u64("chaos_reordered");
-        entry.perf.chaos_duplicated = u64("chaos_duplicated");
-        entry.perf.chaos_blackholed = u64("chaos_blackholed");
-        entry.perf.chaos_faults = u64("chaos_faults");
-        {
-          const auto it = pf.find("recovery_s");
-          entry.perf.recovery_s = it != pf.end() ? it->second : -1.0;
-        }
-        entry.perf.mtbf_s = f64("mtbf_s");
-        entry.perf.allocs = u64("allocs");
-        entry.perf.alloc_bytes = u64("alloc_bytes");
-        entry.perf.pool_hits = u64("pool_hits");
-        entry.perf.pool_misses = u64("pool_misses");
-        entry.perf.pool_outstanding = u64("pool_outstanding");
-        entry.perf.wall_s = f64("wall_s");
-        entry.perf.cpu_s = f64("cpu_s");
-        entry.perf.peak_rss = u64("peak_rss");
-      } else if (cur.peek() == '{') {
-        parse_string_object(cur);  // unknown nested field: skip
-      } else if (cur.peek() == '"') {
-        cur.parse_string();
-      } else if (cur.peek() == 't' || cur.peek() == 'f') {
-        cur.parse_bool();
+        entry.perf = obs::PerfStats::from_json(cur);
       } else {
-        cur.parse_number();
+        cur.skip();
       }
-    }
+    });
     return true;
   } catch (const std::invalid_argument&) {
     return false;
@@ -254,57 +56,24 @@ CheckpointWriter::CheckpointWriter(const std::string& path, const std::string& s
     throw std::runtime_error("cannot open checkpoint file \"" + path + "\"");
   }
   if (!append_mode) {
-    os_ << "{\"mpcc_sweep_checkpoint\":1,\"scenario\":\"" << json_escape(scenario)
-        << "\",\"points\":" << total_points << "}\n";
+    os_ << "{\"mpcc_sweep_checkpoint\":1,\"scenario\":" << json::quote(scenario)
+        << ",\"points\":" << total_points << "}\n";
     os_.flush();
   }
 }
 
 void CheckpointWriter::append(const CheckpointEntry& entry) {
   std::ostringstream line;
-  line << "{\"index\":" << entry.index << ",\"ok\":" << (entry.ok ? "true" : "false")
-       << ",\"kind\":\"" << run_error_kind_name(entry.kind) << "\",\"wall_ms\":"
-       << json_double(entry.wall_ms) << ",\"sim_time_ns\":" << entry.sim_time
-       << ",\"error\":\"" << json_escape(entry.error) << "\",\"domain\":\""
-       << json_escape(entry.domain) << "\",\"params\":{";
-  bool first = true;
-  for (const auto& [key, value] : entry.params) {
-    line << (first ? "" : ",") << '"' << json_escape(key) << "\":\""
-         << json_escape(value) << '"';
-    first = false;
-  }
-  line << "},\"values\":{";
-  first = true;
-  for (const auto& [key, value] : entry.values) {
-    line << (first ? "" : ",") << '"' << json_escape(key)
-         << "\":" << json_double(value);
-    first = false;
-  }
-  // Flat number object so the minimal parser below reads it with the same
-  // machinery as "values". Field order matches obs::PerfStats.
-  const obs::PerfStats& pf = entry.perf;
-  line << "},\"perf\":{\"events_dispatched\":" << pf.events_dispatched
-       << ",\"timers_fired\":" << pf.timers_fired
-       << ",\"packets_enqueued\":" << pf.packets_enqueued
-       << ",\"packets_forwarded\":" << pf.packets_forwarded
-       << ",\"packets_dropped\":" << pf.packets_dropped
-       << ",\"down_drops\":" << pf.down_drops
-       << ",\"flight_drops\":" << pf.flight_drops
-       << ",\"flows_dead\":" << pf.flows_dead
-       << ",\"chaos_corrupted\":" << pf.chaos_corrupted
-       << ",\"chaos_reordered\":" << pf.chaos_reordered
-       << ",\"chaos_duplicated\":" << pf.chaos_duplicated
-       << ",\"chaos_blackholed\":" << pf.chaos_blackholed
-       << ",\"chaos_faults\":" << pf.chaos_faults
-       << ",\"recovery_s\":" << json_double(pf.recovery_s)
-       << ",\"mtbf_s\":" << json_double(pf.mtbf_s)
-       << ",\"allocs\":" << pf.allocs << ",\"alloc_bytes\":" << pf.alloc_bytes
-       << ",\"pool_hits\":" << pf.pool_hits
-       << ",\"pool_misses\":" << pf.pool_misses
-       << ",\"pool_outstanding\":" << pf.pool_outstanding
-       << ",\"wall_s\":" << json_double(pf.wall_s)
-       << ",\"cpu_s\":" << json_double(pf.cpu_s)
-       << ",\"peak_rss\":" << pf.peak_rss << "}}\n";
+  line << "{\"index\": " << entry.index << ", \"ok\": " << (entry.ok ? "true" : "false")
+       << ", \"kind\": " << json::quote(run_error_kind_name(entry.kind))
+       << ", \"wall_ms\": " << json::number(entry.wall_ms)
+       << ", \"sim_time_ns\": " << entry.sim_time
+       << ", \"error\": " << json::quote(entry.error)
+       << ", \"domain\": " << json::quote(entry.domain) << ", \"params\": ";
+  json::write_object(line, entry.params);
+  line << ", \"values\": ";
+  json::write_object(line, entry.values);
+  line << ", \"perf\": " << entry.perf.to_json() << "}\n";
 
   std::lock_guard<std::mutex> lock(mutex_);
   os_ << line.str();
@@ -322,32 +91,22 @@ CheckpointData load_checkpoint(const std::string& path) {
   }
 
   CheckpointData data;
-  {
-    Cursor cur(line, 1);
-    cur.expect('{');
-    bool versioned = false;
-    bool first = true;
-    while (!cur.consume('}')) {
-      if (!first) cur.expect(',');
-      first = false;
-      const std::string key = cur.parse_string();
-      cur.expect(':');
-      if (key == "mpcc_sweep_checkpoint") {
-        versioned = static_cast<int>(cur.parse_number()) == 1;
-      } else if (key == "scenario") {
-        data.scenario = cur.parse_string();
-      } else if (key == "points") {
-        data.total_points = static_cast<std::size_t>(cur.parse_number());
-      } else if (cur.peek() == '"') {
-        cur.parse_string();
-      } else {
-        cur.parse_number();
-      }
+  bool versioned = false;
+  json::Cursor cur(line, "checkpoint \"" + path + "\" header");
+  cur.fields([&](const std::string& key) {
+    if (key == "mpcc_sweep_checkpoint") {
+      versioned = static_cast<int>(cur.number()) == 1;
+    } else if (key == "scenario") {
+      data.scenario = cur.string();
+    } else if (key == "points") {
+      data.total_points = static_cast<std::size_t>(cur.number());
+    } else {
+      cur.skip();
     }
-    if (!versioned) {
-      throw std::invalid_argument("\"" + path +
-                                  "\" is not an mpcc sweep checkpoint (bad header)");
-    }
+  });
+  if (!versioned) {
+    throw std::invalid_argument("\"" + path +
+                                "\" is not an mpcc sweep checkpoint (bad header)");
   }
 
   std::size_t line_no = 1;

@@ -2,15 +2,17 @@
 //
 // Layout (docs/ROBUSTNESS.md has the full spec):
 //   line 1:  {"mpcc_sweep_checkpoint":1,"scenario":"two_path","points":12}
-//   line 2+: {"index":3,"ok":true,"kind":"none","wall_ms":12.5,
-//             "sim_time_ns":-1,"error":"","domain":"",
-//             "params":{"cc":"lia","seed":"1"},"values":{"energy_j":1.5}}
+//   line 2+: {"index": 3, "ok": true, "kind": "none", "wall_ms": 12.5,
+//             "sim_time_ns": -1, "error": "", "domain": "",
+//             "params": {"cc": "lia", "seed": "1"}, "values": {"energy_j": 1.5},
+//             "perf": {"events_dispatched": 52114, ...}}
 //
 // Append-only + one flush per line means a killed sweep loses at most the
-// line being written; the loader ignores a torn trailing line. Doubles are
-// rendered with %.17g so a restored value is bit-identical to the computed
-// one. Duplicate indices can appear after a resume re-runs a failed point;
-// the last occurrence wins.
+// line being written; the loader ignores a torn trailing line. Lines go
+// through util/json.h, so doubles are rendered with %.17g and a restored
+// value is bit-identical to the computed one; "perf" is
+// obs::PerfStats::to_json(), read back by field name. Duplicate indices can
+// appear after a resume re-runs a failed point; the last occurrence wins.
 #pragma once
 
 #include <cstddef>

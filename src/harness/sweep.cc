@@ -23,6 +23,7 @@
 #include "obs/perf.h"
 #include "obs/trace.h"
 #include "sim/invariants.h"
+#include "util/json.h"
 #include "util/logging.h"
 
 namespace mpcc::harness {
@@ -711,65 +712,28 @@ bool SweepReport::write_csv(const std::string& path) const {
   return true;
 }
 
-namespace {
-
-// Minimal JSON string escaping (our params/errors are plain ASCII, but a
-// stray quote in an error message must not corrupt the file).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-std::string json_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-}  // namespace
-
 bool SweepReport::write_json(const std::string& path) const {
   std::ofstream os(path);
   if (!os) return false;
-  os << "{\n  \"scenario\": \"" << json_escape(scenario) << "\",\n"
+  os << "{\n  \"scenario\": " << json::quote(scenario) << ",\n"
      << "  \"jobs\": " << jobs << ",\n"
-     << "  \"wall_s\": " << json_double(wall_s) << ",\n"
+     << "  \"wall_s\": " << json::number(wall_s) << ",\n"
      << "  \"env\": " << obs::bench_env_json() << ",\n"
      << "  \"perf_total\": " << perf_total().to_json() << ",\n"
      << "  \"points\": [\n";
   for (std::size_t i = 0; i < points.size(); ++i) {
     const SweepPointResult& p = points[i];
     os << "    {\"run\": " << p.index << ", \"ok\": " << (p.ok ? "true" : "false")
-       << ", \"wall_ms\": " << json_double(p.wall_ms) << ",\n      \"params\": {";
-    bool first = true;
-    for (const auto& [key, value] : p.params) {
-      os << (first ? "" : ", ") << '"' << json_escape(key) << "\": \""
-         << json_escape(value) << '"';
-      first = false;
-    }
-    os << "},\n      \"values\": {";
-    first = true;
-    for (const auto& [key, value] : p.values) {
-      os << (first ? "" : ", ") << '"' << json_escape(key)
-         << "\": " << json_double(value);
-      first = false;
-    }
-    os << "},\n      \"perf\": " << p.perf.to_json();
+       << ", \"wall_ms\": " << json::number(p.wall_ms) << ",\n      \"params\": ";
+    json::write_object(os, p.params);
+    os << ",\n      \"values\": ";
+    json::write_object(os, p.values);
+    os << ",\n      \"perf\": " << p.perf.to_json();
     if (!p.ok) {
-      os << ",\n      \"error\": \"" << json_escape(p.error) << "\", \"error_kind\": \""
+      os << ",\n      \"error\": " << json::quote(p.error) << ", \"error_kind\": \""
          << run_error_kind_name(p.error_kind) << '"';
       if (!p.error_domain.empty()) {
-        os << ", \"error_domain\": \"" << json_escape(p.error_domain) << '"';
+        os << ", \"error_domain\": " << json::quote(p.error_domain);
       }
       if (p.fail_sim_time >= 0) os << ", \"fail_sim_time_ns\": " << p.fail_sim_time;
     }

@@ -100,11 +100,9 @@ void Queue::receive(Packet pkt) {
               static_cast<std::int64_t>(pkt.flow_id), pkt.seq);
     // Hot-path histogram rides the queue trace bit: free when tracing is off.
     if (occupancy_metric_ == nullptr) {
-      occupancy_metric_ = &obs::metrics().histogram(
-          "net.queue.occupancy_bytes",
-          {/*min_value=*/1500.0, /*growth=*/2.0, /*num_buckets=*/24});
+      occupancy_metric_ = &obs::metrics().histogram("net.queue.occupancy_bytes");
     }
-    occupancy_metric_->record(static_cast<double>(queued_bytes_));
+    occupancy_metric_->record(static_cast<std::uint64_t>(queued_bytes_));
   }
   if (!busy_) {
     start_service(std::move(pkt));

@@ -86,7 +86,7 @@ class Queue : public PacketHandler, public EventSource, public PerfFlushable {
   // a cached process-wide address would alias runs and dangle once the
   // first run's context dies.
   obs::Counter* drops_metric_ = nullptr;
-  obs::Histogram* occupancy_metric_ = nullptr;
+  obs::HdrHistogram* occupancy_metric_ = nullptr;
   // Cached perf ledger (obs::bound_perf), same lazy per-instance pattern.
   obs::PerfCounters* perf_ctrs_ = nullptr;
 

@@ -4,23 +4,11 @@
 #include <ostream>
 #include <vector>
 
+#include "util/json.h"
+
 namespace mpcc::obs {
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';  // control characters never appear in component names
-      continue;
-    }
-    out.push_back(c);
-  }
-  return out;
-}
 
 double to_trace_us(SimTime t) { return static_cast<double>(t) / kMicrosecond; }
 
@@ -83,11 +71,11 @@ void write_chrome_trace(const Tracer& tracer, std::ostream& os) {
     if (!needs_track[id]) continue;
     os << ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":"
        << (id + 1) << ",\"args\":{\"name\":\""
-       << json_escape(tracer.source_name(id)) << "\"}}";
+       << json::escape(tracer.source_name(id)) << "\"}}";
   }
 
   for (const TraceRecord& r : records) {
-    const std::string src = json_escape(tracer.source_name(r.source));
+    const std::string src = json::escape(tracer.source_name(r.source));
     os << ",\n{";
     if (r.event == TraceEvent::kPhaseBegin || r.event == TraceEvent::kPhaseEnd) {
       // PhaseTimer scopes render as duration slices: a matched B/E pair on

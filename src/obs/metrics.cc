@@ -1,71 +1,10 @@
 #include "obs/metrics.h"
 
-#include <algorithm>
-#include <cmath>
 #include <fstream>
 
 #include "util/logging.h"
 
 namespace mpcc::obs {
-
-// --------------------------------------------------------------- histogram
-
-Histogram::Histogram(HistogramConfig config) : config_(config) {
-  config_.min_value = std::max(config_.min_value, 1e-12);
-  config_.growth = std::max(config_.growth, 1.0001);
-  config_.num_buckets = std::max(config_.num_buckets, 2);
-  buckets_.assign(static_cast<std::size_t>(config_.num_buckets), 0);
-}
-
-int Histogram::bucket_index(double v) const {
-  if (!(v >= config_.min_value)) return 0;  // underflow (and NaN)
-  const int idx = 1 + static_cast<int>(std::floor(std::log(v / config_.min_value) /
-                                                  std::log(config_.growth)));
-  return std::min(idx, config_.num_buckets - 1);
-}
-
-double Histogram::bucket_lower_bound(int idx) const {
-  if (idx <= 0) return 0.0;
-  return config_.min_value * std::pow(config_.growth, idx - 1);
-}
-
-void Histogram::record(double v) {
-  ++buckets_[static_cast<std::size_t>(bucket_index(v))];
-  if (count_ == 0) {
-    min_ = max_ = v;
-  } else {
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-  }
-  ++count_;
-  sum_ += v;
-}
-
-double Histogram::percentile(double p) const {
-  if (count_ == 0) return 0.0;
-  if (p <= 0.0) return min_;
-  if (p >= 1.0) return max_;  // extremes are known exactly
-  const double target = p * static_cast<double>(count_);
-  std::uint64_t cumulative = 0;
-  for (int i = 0; i < config_.num_buckets; ++i) {
-    cumulative += buckets_[static_cast<std::size_t>(i)];
-    if (static_cast<double>(cumulative) >= target) {
-      const double lo = bucket_lower_bound(i);
-      const double hi = bucket_lower_bound(i + 1);
-      const double mid = i == 0 ? lo : std::sqrt(lo * hi);  // geometric midpoint
-      return std::clamp(mid, min_, max_);
-    }
-  }
-  return max_;
-}
-
-void Histogram::reset() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-  count_ = 0;
-  sum_ = 0;
-  min_ = 0;
-  max_ = 0;
-}
 
 // ---------------------------------------------------------------- registry
 
@@ -112,18 +51,17 @@ Gauge& MetricsRegistry::gauge(std::string_view name) {
   return ref;
 }
 
-Histogram& MetricsRegistry::histogram(std::string_view name,
-                                      HistogramConfig config) {
+HdrHistogram& MetricsRegistry::histogram(std::string_view name) {
   if (Entry* e = find(name, Entry::Type::kHistogram)) return *e->histogram;
   auto it = entries_.find(name);
   if (it != entries_.end()) {
-    static thread_local Histogram scratch;
+    static thread_local HdrHistogram scratch;
     return scratch;
   }
   Entry entry;
   entry.type = Entry::Type::kHistogram;
-  entry.histogram = std::make_unique<Histogram>(config);
-  Histogram& ref = *entry.histogram;
+  entry.histogram = std::make_unique<HdrHistogram>();
+  HdrHistogram& ref = *entry.histogram;
   entries_.emplace(std::string(name), std::move(entry));
   return ref;
 }
@@ -161,10 +99,11 @@ Table MetricsRegistry::snapshot() const {
                        entry.gauge->value(), 0.0, 0.0, 0.0, 0.0, 0.0});
         break;
       case Entry::Type::kHistogram: {
-        const Histogram& h = *entry.histogram;
+        const HdrHistogram& h = *entry.histogram;
         table.add_row({name, std::string("histogram"),
-                       static_cast<std::int64_t>(h.count()), h.sum(), h.mean(),
-                       h.min(), h.max(), h.percentile(0.50), h.percentile(0.90),
+                       static_cast<std::int64_t>(h.count()), double(h.sum()),
+                       h.mean(), double(h.min()), double(h.max()),
+                       h.percentile(0.50), h.percentile(0.90),
                        h.percentile(0.99)});
         break;
       }
@@ -189,7 +128,7 @@ void MetricsRegistry::write_json(const std::string& path) const {
         os << "\"type\":\"gauge\",\"value\":" << entry.gauge->value() << "}";
         break;
       case Entry::Type::kHistogram: {
-        const Histogram& h = *entry.histogram;
+        const HdrHistogram& h = *entry.histogram;
         os << "\"type\":\"histogram\",\"count\":" << h.count()
            << ",\"sum\":" << h.sum() << ",\"min\":" << h.min()
            << ",\"max\":" << h.max() << ",\"p50\":" << h.percentile(0.50)
@@ -200,7 +139,7 @@ void MetricsRegistry::write_json(const std::string& path) const {
           if (h.buckets()[i] == 0) continue;  // sparse: skip empty buckets
           if (!bfirst) os << ",";
           bfirst = false;
-          os << "{\"ge\":" << h.bucket_lower_bound(static_cast<int>(i))
+          os << "{\"ge\":" << HdrHistogram::bucket_lower(i)
              << ",\"n\":" << h.buckets()[i] << "}";
         }
         os << "]}";

@@ -1,4 +1,5 @@
-// Metrics registry: named counters, gauges, and log-bucketed histograms.
+// Metrics registry: named counters, gauges, and histograms (the perf
+// ledger's integer-valued obs::HdrHistogram, obs/perf.h).
 //
 // Any component may register a metric by name; the registry owns storage
 // with stable addresses, so call sites resolve the name once (at
@@ -15,8 +16,8 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
+#include "obs/perf.h"
 #include "util/csv.h"
 #include "util/units.h"
 
@@ -50,49 +51,6 @@ class Gauge {
   bool has_value_ = false;
 };
 
-/// Geometric bucket layout: bucket 0 holds v < min_value (underflow);
-/// bucket i >= 1 holds [min_value * growth^(i-1), min_value * growth^i),
-/// and the last bucket additionally absorbs overflow.
-struct HistogramConfig {
-  double min_value = 1.0;
-  double growth = 2.0;
-  int num_buckets = 64;
-};
-
-class Histogram {
- public:
-  explicit Histogram(HistogramConfig config = {});
-
-  void record(double v);
-
-  std::uint64_t count() const { return count_; }
-  double sum() const { return sum_; }
-  double mean() const { return count_ > 0 ? sum_ / static_cast<double>(count_) : 0.0; }
-  double min() const { return count_ > 0 ? min_ : 0.0; }
-  double max() const { return count_ > 0 ? max_ : 0.0; }
-
-  int bucket_index(double v) const;
-  /// Inclusive lower bound of bucket `idx` (0 for the underflow bucket).
-  double bucket_lower_bound(int idx) const;
-  const std::vector<std::uint64_t>& buckets() const { return buckets_; }
-
-  /// Estimate of the p-quantile (p in [0,1]) from the bucket counts, using
-  /// the geometric bucket midpoint, clamped to the observed [min, max].
-  double percentile(double p) const;
-
-  void reset();
-
-  const HistogramConfig& config() const { return config_; }
-
- private:
-  HistogramConfig config_;
-  std::vector<std::uint64_t> buckets_;
-  std::uint64_t count_ = 0;
-  double sum_ = 0;
-  double min_ = 0;
-  double max_ = 0;
-};
-
 class MetricsRegistry {
  public:
   /// Looks up or creates. A name registered as one type stays that type;
@@ -100,7 +58,7 @@ class MetricsRegistry {
   /// metric not included in snapshots.
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  Histogram& histogram(std::string_view name, HistogramConfig config = {});
+  HdrHistogram& histogram(std::string_view name);
 
   /// Zeroes every metric (names and types are kept). Call between runs.
   void reset();
@@ -119,7 +77,7 @@ class MetricsRegistry {
     enum class Type { kCounter, kGauge, kHistogram } type;
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
+    std::unique_ptr<HdrHistogram> histogram;
   };
 
   Entry* find(std::string_view name, Entry::Type want);

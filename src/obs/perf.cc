@@ -14,6 +14,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/invariants.h"
+#include "util/json.h"
 
 // ------------------------------------------------------------ alloc hook
 //
@@ -198,6 +199,20 @@ std::uint64_t peak_rss_bytes() {
 #ifdef _WIN32
   return 0;
 #else
+  // VmHWM is this process image's high-water mark. ru_maxrss is not: Linux
+  // carries it across execve, so a binary launched from a large process
+  // would report its parent's peak. stdio, not iostreams: operator new
+  // would count toward the run's allocs.
+  if (std::FILE* f = std::fopen("/proc/self/status", "r")) {
+    char line[128];
+    unsigned long long kb = 0;
+    bool found = false;
+    while (!found && std::fgets(line, sizeof line, f) != nullptr) {
+      found = std::sscanf(line, "VmHWM: %llu kB", &kb) == 1;
+    }
+    std::fclose(f);
+    if (found) return std::uint64_t(kb) * 1024;
+  }
   rusage ru{};
   if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
   // ru_maxrss is kilobytes on Linux (bytes on macOS, where RUSAGE ru_maxrss
@@ -252,28 +267,6 @@ void HdrHistogram::reset() {
 
 // ------------------------------------------------------------ PerfCounters
 
-void PerfCounters::reset() {
-  events_dispatched = 0;
-  timers_fired = 0;
-  packets_enqueued = 0;
-  packets_forwarded = 0;
-  packets_dropped = 0;
-  down_drops = 0;
-  flight_drops = 0;
-  flows_dead = 0;
-  chaos_corrupted = 0;
-  chaos_reordered = 0;
-  chaos_duplicated = 0;
-  chaos_blackholed = 0;
-  chaos_faults = 0;
-  recovery_s = -1.0;
-  mtbf_s = 0.0;
-  dispatch_ns.reset();
-  queue_depth_pkts.reset();
-  rtt_us.reset();
-  fct_us.reset();
-}
-
 namespace {
 void flush_hdr(MetricsRegistry& registry, const char* prefix,
                const HdrHistogram& h) {
@@ -290,34 +283,19 @@ void flush_hdr(MetricsRegistry& registry, const char* prefix,
 }  // namespace
 
 void PerfCounters::flush_to_metrics(MetricsRegistry& registry) const {
-  const bool any = events_dispatched != 0 || timers_fired != 0 ||
-                   packets_enqueued != 0 || packets_forwarded != 0 ||
-                   packets_dropped != 0 || down_drops != 0 ||
-                   flight_drops != 0 || flows_dead != 0 ||
-                   chaos_corrupted != 0 || chaos_reordered != 0 ||
-                   chaos_duplicated != 0 || chaos_blackholed != 0 ||
-                   chaos_faults != 0 || recovery_s >= 0 ||
-                   dispatch_ns.count() != 0 ||
-                   queue_depth_pkts.count() != 0 || rtt_us.count() != 0 ||
-                   fct_us.count() != 0;
+#define MPCC_TOUCHED(name, type, init, merge) || name != init
+  const bool any = dispatch_ns.count() != 0 || queue_depth_pkts.count() != 0 ||
+                   rtt_us.count() != 0 || fct_us.count() != 0
+      MPCC_PERF_FIELDS(MPCC_TOUCHED, MPCC_TOUCHED, MPCC_PERF_SKIP, MPCC_PERF_SKIP);
+#undef MPCC_TOUCHED
   if (!any) return;
-  registry.counter("perf.events_dispatched").inc(events_dispatched);
-  registry.counter("perf.timers_fired").inc(timers_fired);
-  registry.counter("perf.packets_enqueued").inc(packets_enqueued);
-  registry.counter("perf.packets_forwarded").inc(packets_forwarded);
-  registry.counter("perf.packets_dropped").inc(packets_dropped);
-  registry.counter("perf.down_drops").inc(down_drops);
-  registry.counter("perf.flight_drops").inc(flight_drops);
-  registry.counter("perf.flows_dead").inc(flows_dead);
-  registry.counter("perf.chaos_corrupted").inc(chaos_corrupted);
-  registry.counter("perf.chaos_reordered").inc(chaos_reordered);
-  registry.counter("perf.chaos_duplicated").inc(chaos_duplicated);
-  registry.counter("perf.chaos_blackholed").inc(chaos_blackholed);
-  registry.counter("perf.chaos_faults").inc(chaos_faults);
-  if (recovery_s >= 0) {
-    registry.gauge("perf.recovery_s").set(recovery_s);
-    registry.gauge("perf.mtbf_s").set(mtbf_s);
-  }
+#define MPCC_COUNTER(name, type, init, merge) \
+  registry.counter("perf." #name).inc(name);
+#define MPCC_GAUGE(name, type, init, merge) \
+  if (name != init) registry.gauge("perf." #name).set(name);
+  MPCC_PERF_FIELDS(MPCC_COUNTER, MPCC_GAUGE, MPCC_PERF_SKIP, MPCC_PERF_SKIP)
+#undef MPCC_COUNTER
+#undef MPCC_GAUGE
   flush_hdr(registry, "perf.dispatch_ns", dispatch_ns);
   flush_hdr(registry, "perf.queue_depth_pkts", queue_depth_pkts);
   flush_hdr(registry, "perf.rtt_us", rtt_us);
@@ -326,119 +304,79 @@ void PerfCounters::flush_to_metrics(MetricsRegistry& registry) const {
 
 // -------------------------------------------------------------- PerfStats
 
+namespace {
+template <typename T>
+void merge_sum(T& into, T v) {
+  into += v;
+}
+template <typename T>
+void merge_max(T& into, T v) {
+  if (v > into) into = v;
+}
+/// The smallest non-zero value; zero means "none" and never wins.
+template <typename T>
+void merge_min_nonzero(T& into, T v) {
+  if (v > 0 && (into == 0 || v < into)) into = v;
+}
+}  // namespace
+
 void PerfStats::accumulate(const PerfStats& other) {
-  events_dispatched += other.events_dispatched;
-  timers_fired += other.timers_fired;
-  packets_enqueued += other.packets_enqueued;
-  packets_forwarded += other.packets_forwarded;
-  packets_dropped += other.packets_dropped;
-  down_drops += other.down_drops;
-  flight_drops += other.flight_drops;
-  flows_dead += other.flows_dead;
-  chaos_corrupted += other.chaos_corrupted;
-  chaos_reordered += other.chaos_reordered;
-  chaos_duplicated += other.chaos_duplicated;
-  chaos_blackholed += other.chaos_blackholed;
-  chaos_faults += other.chaos_faults;
-  // Worst case across points: slowest reconvergence, shortest fault spacing.
-  if (other.recovery_s > recovery_s) recovery_s = other.recovery_s;
-  if (other.mtbf_s > 0 && (mtbf_s == 0 || other.mtbf_s < mtbf_s)) {
-    mtbf_s = other.mtbf_s;
-  }
-  allocs += other.allocs;
-  alloc_bytes += other.alloc_bytes;
-  pool_hits += other.pool_hits;
-  pool_misses += other.pool_misses;
-  pool_outstanding += other.pool_outstanding;
-  wall_s += other.wall_s;
-  cpu_s += other.cpu_s;
-  if (other.peak_rss > peak_rss) peak_rss = other.peak_rss;
+#define MPCC_MERGE(name, type, init, merge) merge_##merge(name, other.name);
+  MPCC_PERF_EACH(MPCC_MERGE)
+#undef MPCC_MERGE
 }
 
 std::string PerfStats::to_json() const {
-  char buf[1536];
-  std::snprintf(
-      buf, sizeof buf,
-      "{\"events_dispatched\": %llu, \"timers_fired\": %llu, "
-      "\"packets_enqueued\": %llu, \"packets_forwarded\": %llu, "
-      "\"packets_dropped\": %llu, \"down_drops\": %llu, "
-      "\"flight_drops\": %llu, \"flows_dead\": %llu, "
-      "\"chaos_corrupted\": %llu, \"chaos_reordered\": %llu, "
-      "\"chaos_duplicated\": %llu, \"chaos_blackholed\": %llu, "
-      "\"chaos_faults\": %llu, \"recovery_s\": %.9g, \"mtbf_s\": %.9g, "
-      "\"allocs\": %llu, \"alloc_bytes\": %llu, "
-      "\"pool_hits\": %llu, \"pool_misses\": %llu, "
-      "\"pool_outstanding\": %llu, "
-      "\"wall_s\": %.6f, \"cpu_s\": %.6f, \"peak_rss\": %llu, "
-      "\"events_per_sec\": %.1f, \"packets_per_sec\": %.1f, "
-      "\"allocs_per_event\": %.4f}",
-      static_cast<unsigned long long>(events_dispatched),
-      static_cast<unsigned long long>(timers_fired),
-      static_cast<unsigned long long>(packets_enqueued),
-      static_cast<unsigned long long>(packets_forwarded),
-      static_cast<unsigned long long>(packets_dropped),
-      static_cast<unsigned long long>(down_drops),
-      static_cast<unsigned long long>(flight_drops),
-      static_cast<unsigned long long>(flows_dead),
-      static_cast<unsigned long long>(chaos_corrupted),
-      static_cast<unsigned long long>(chaos_reordered),
-      static_cast<unsigned long long>(chaos_duplicated),
-      static_cast<unsigned long long>(chaos_blackholed),
-      static_cast<unsigned long long>(chaos_faults), recovery_s, mtbf_s,
-      static_cast<unsigned long long>(allocs),
-      static_cast<unsigned long long>(alloc_bytes),
-      static_cast<unsigned long long>(pool_hits),
-      static_cast<unsigned long long>(pool_misses),
-      static_cast<unsigned long long>(pool_outstanding), wall_s, cpu_s,
-      static_cast<unsigned long long>(peak_rss), events_per_sec(),
-      packets_per_sec(), allocs_per_event());
-  return buf;
+  std::string out = "{";
+#define MPCC_WRITE(name, type, init, merge) \
+  out += "\"" #name "\": " + json::number(name) + ", ";
+  MPCC_PERF_EACH(MPCC_WRITE)
+#undef MPCC_WRITE
+  out += "\"events_per_sec\": " + json::number(events_per_sec()) +
+         ", \"packets_per_sec\": " + json::number(packets_per_sec()) +
+         ", \"allocs_per_event\": " + json::number(allocs_per_event()) + "}";
+  return out;
+}
+
+PerfStats PerfStats::from_json(json::Cursor& cur) {
+  PerfStats s;
+  cur.fields([&](const std::string& key) {
+#define MPCC_READ(name, type, init, merge)      \
+  if (key == #name) {                           \
+    s.name = static_cast<type>(cur.number());   \
+    return;                                     \
+  }
+    MPCC_PERF_EACH(MPCC_READ)
+#undef MPCC_READ
+    cur.skip();
+  });
+  return s;
 }
 
 PerfStatsCollector::PerfStatsCollector(const PerfCounters& counters)
-    : counters_(&counters),
-      base_events_(counters.events_dispatched),
-      base_timers_(counters.timers_fired),
-      base_enq_(counters.packets_enqueued),
-      base_fwd_(counters.packets_forwarded),
-      base_drop_(counters.packets_dropped),
-      base_down_(counters.down_drops),
-      base_flight_(counters.flight_drops),
-      base_dead_(counters.flows_dead),
-      base_corrupt_(counters.chaos_corrupted),
-      base_reorder_(counters.chaos_reordered),
-      base_dup_(counters.chaos_duplicated),
-      base_blackhole_(counters.chaos_blackholed),
-      base_faults_(counters.chaos_faults),
-      base_allocs_(thread_alloc_count()),
-      base_alloc_bytes_(thread_alloc_bytes()),
-      base_cpu_(thread_cpu_seconds()),
-      base_wall_(std::chrono::steady_clock::now()) {}
+    : counters_(&counters) {
+#define MPCC_BASE(name, type, init, merge) base_.name = counters.name;
+  MPCC_PERF_FIELDS(MPCC_BASE, MPCC_PERF_SKIP, MPCC_PERF_SKIP, MPCC_PERF_SKIP)
+#undef MPCC_BASE
+  base_.allocs = thread_alloc_count();
+  base_.alloc_bytes = thread_alloc_bytes();
+  base_.cpu_s = thread_cpu_seconds();
+  base_wall_ = std::chrono::steady_clock::now();
+}
 
 PerfStats PerfStatsCollector::finish() const {
   PerfStats s;
-  s.events_dispatched = counters_->events_dispatched - base_events_;
-  s.timers_fired = counters_->timers_fired - base_timers_;
-  s.packets_enqueued = counters_->packets_enqueued - base_enq_;
-  s.packets_forwarded = counters_->packets_forwarded - base_fwd_;
-  s.packets_dropped = counters_->packets_dropped - base_drop_;
-  s.down_drops = counters_->down_drops - base_down_;
-  s.flight_drops = counters_->flight_drops - base_flight_;
-  s.flows_dead = counters_->flows_dead - base_dead_;
-  s.chaos_corrupted = counters_->chaos_corrupted - base_corrupt_;
-  s.chaos_reordered = counters_->chaos_reordered - base_reorder_;
-  s.chaos_duplicated = counters_->chaos_duplicated - base_dup_;
-  s.chaos_blackholed = counters_->chaos_blackholed - base_blackhole_;
-  s.chaos_faults = counters_->chaos_faults - base_faults_;
-  // Set-once values, not deltas: carried through as the run left them.
-  s.recovery_s = counters_->recovery_s;
-  s.mtbf_s = counters_->mtbf_s;
-  s.allocs = thread_alloc_count() - base_allocs_;
-  s.alloc_bytes = thread_alloc_bytes() - base_alloc_bytes_;
+#define MPCC_DELTA(name, type, init, merge) s.name = counters_->name - base_.name;
+#define MPCC_SET(name, type, init, merge) s.name = counters_->name;
+  MPCC_PERF_FIELDS(MPCC_DELTA, MPCC_SET, MPCC_PERF_SKIP, MPCC_PERF_SKIP)
+#undef MPCC_DELTA
+#undef MPCC_SET
+  s.allocs = thread_alloc_count() - base_.allocs;
+  s.alloc_bytes = thread_alloc_bytes() - base_.alloc_bytes;
   s.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                            base_wall_)
                  .count();
-  s.cpu_s = thread_cpu_seconds() - base_cpu_;
+  s.cpu_s = thread_cpu_seconds() - base_.cpu_s;
   s.peak_rss = peak_rss_bytes();
   return s;
 }
@@ -494,17 +432,6 @@ const char* compiler_id() {
 #endif
 }
 
-// Minimal JSON string escape (quotes and backslashes; flags strings never
-// contain control characters in practice).
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
 }  // namespace
 
 const BuildInfo& build_info() {
@@ -515,20 +442,13 @@ const BuildInfo& build_info() {
 
 std::string bench_env_json() {
   const BuildInfo& info = build_info();
-  std::string out = "{\"git_sha\": \"";
-  out += json_escape(info.git_sha);
-  out += "\", \"git_dirty\": ";
-  out += info.git_dirty ? "true" : "false";
-  out += ", \"compiler\": \"";
-  out += json_escape(info.compiler);
-  out += "\", \"build_type\": \"";
-  out += json_escape(info.build_type);
-  out += "\", \"cxx_flags\": \"";
-  out += json_escape(info.cxx_flags);
-  out += "\", \"hardware_threads\": ";
-  out += std::to_string(std::thread::hardware_concurrency());
-  out += "}";
-  return out;
+  return "{\"git_sha\": " + json::quote(info.git_sha) +
+         ", \"git_dirty\": " + (info.git_dirty ? "true" : "false") +
+         ", \"compiler\": " + json::quote(info.compiler) +
+         ", \"build_type\": " + json::quote(info.build_type) +
+         ", \"cxx_flags\": " + json::quote(info.cxx_flags) +
+         ", \"hardware_threads\": " +
+         std::to_string(std::thread::hardware_concurrency()) + "}";
 }
 
 }  // namespace mpcc::obs

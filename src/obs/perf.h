@@ -37,6 +37,10 @@
 
 #include "util/units.h"
 
+namespace mpcc::json {
+class Cursor;
+}
+
 namespace mpcc::obs {
 
 class MetricsRegistry;
@@ -48,11 +52,11 @@ class MetricsRegistry;
 /// octave, covering the full uint64 range (the top octave absorbs overflow
 /// up to UINT64_MAX). Worst-case relative quantile error is 1/16 (6.25%).
 ///
-/// The layout is fixed at compile time, which buys three properties the
-/// configurable obs::Histogram cannot give: merge() is always well-defined,
-/// merge is associative and commutative bucket-by-bucket, and bucketing is
-/// pure integer bit arithmetic — deterministic across platforms and free of
-/// libm calls on the hot path.
+/// The layout is fixed at compile time, which buys three properties: merge()
+/// is always well-defined, merge is associative and commutative
+/// bucket-by-bucket, and bucketing is pure integer bit arithmetic —
+/// deterministic across platforms and free of libm calls on the hot path.
+/// It is the one histogram type: the ledger's and MetricsRegistry's.
 class HdrHistogram {
  public:
   /// Values below kLinearMax get one bucket each (exact).
@@ -136,6 +140,59 @@ class HdrHistogram {
   std::uint64_t max_ = 0;
 };
 
+// ------------------------------------------------------------- field table
+
+/// The perf ledger's scalar fields, each named once. PerfCounters and
+/// PerfStats declare their members from this table, and every consumer
+/// (accumulate, to_json/from_json and so the checkpoint, flush_to_metrics,
+/// PerfStatsCollector, mpcc_bench's inner-run override) expands it, so a new
+/// field is one line here.
+///
+/// Each entry is SOURCE(name, type, initial value, merge). SOURCE says how a
+/// run's value is formed:
+///   DELTA  counted on the hot path into PerfCounters; the run's value is
+///          the change across the run
+///   SET    written once per run into PerfCounters, taken as the run left it
+///   GUARD  stamped into PerfStats by the RunGuard from the run's PoolArena
+///          (sim/pool.h)
+///   HOST   host cost of the run, measured on the calling thread
+/// DELTA, SET and GUARD fields are sim-deterministic: bit-identical for a
+/// given scenario point across --jobs counts and hosts. `merge` says how
+/// PerfStats::accumulate combines runs: sum, max (the worst reconvergence,
+/// the highest peak) or min_nonzero (the shortest fault spacing).
+#define MPCC_PERF_FIELDS(DELTA, SET, GUARD, HOST)                                     \
+  DELTA(events_dispatched, std::uint64_t, 0, sum) /* EventList dispatches */          \
+  DELTA(timers_fired, std::uint64_t, 0, sum)      /* Timer callbacks */               \
+  DELTA(packets_enqueued, std::uint64_t, 0, sum)  /* accepted by a Queue */           \
+  DELTA(packets_forwarded, std::uint64_t, 0, sum) /* Queue services delivered */      \
+  DELTA(packets_dropped, std::uint64_t, 0, sum)   /* queue drops + pipe loss */       \
+  DELTA(down_drops, std::uint64_t, 0, sum)        /* drops while admin-down */        \
+  DELTA(flight_drops, std::uint64_t, 0, sum)      /* Pipe::drop_in_flight */          \
+  DELTA(flows_dead, std::uint64_t, 0, sum)        /* consecutive-RTO deaths */        \
+  DELTA(chaos_corrupted, std::uint64_t, 0, sum)   /* corrupted by injection */        \
+  DELTA(chaos_reordered, std::uint64_t, 0, sum)   /* swapped out of order */          \
+  DELTA(chaos_duplicated, std::uint64_t, 0, sum)  /* delivered twice */               \
+  DELTA(chaos_blackholed, std::uint64_t, 0, sum)  /* blackhole/burst drops */         \
+  DELTA(chaos_faults, std::uint64_t, 0, sum)      /* fault windows opened */          \
+  SET(recovery_s, double, -1.0, max)              /* worst reconverge, s; <0: none */ \
+  SET(mtbf_s, double, 0.0, min_nonzero)           /* horizon / faults; 0: none */     \
+  GUARD(pool_hits, std::uint64_t, 0, sum)         /* free-list reuses */              \
+  GUARD(pool_misses, std::uint64_t, 0, sum)       /* fresh carves */                  \
+  GUARD(pool_outstanding, std::uint64_t, 0, sum)  /* nodes live at run end */         \
+  HOST(allocs, std::uint64_t, 0, sum)             /* operator new calls */            \
+  HOST(alloc_bytes, std::uint64_t, 0, sum)        /* bytes from operator new */       \
+  HOST(wall_s, double, 0.0, sum)                  /* wall time of the run body */     \
+  HOST(cpu_s, double, 0.0, sum)                   /* thread CPU of the run body */    \
+  HOST(peak_rss, std::uint64_t, 0, max)           /* process peak RSS, bytes */
+
+/// Expands `X` for every field, whatever its source.
+#define MPCC_PERF_EACH(X) MPCC_PERF_FIELDS(X, X, X, X)
+/// A SOURCE argument that leaves that source's fields out.
+#define MPCC_PERF_SKIP(name, type, init, merge)
+
+/// Declares a table entry as a member.
+#define MPCC_PERF_DECLARE(name, type, init, merge) type name = init;
+
 // ------------------------------------------------------------ PerfCounters
 
 /// The per-run performance ledger. A SimContext owns one; the active scope
@@ -143,42 +200,23 @@ class HdrHistogram {
 /// sites (MPCC_PERF_COUNT / MPCC_PERF_RECORD below) attribute to the run
 /// that is executing without taking a context parameter.
 ///
-/// The scalar counters and the queue_depth_pkts / rtt_us histograms are
-/// functions of the simulation alone — bit-identical for a given scenario
-/// point across --jobs counts and across hosts. dispatch_ns is wall-clock
-/// (sampled 1-in-256 dispatches) and therefore host-dependent.
+/// The DELTA and SET fields of the table above and the queue_depth_pkts /
+/// rtt_us / fct_us histograms are functions of the simulation alone.
+/// dispatch_ns is wall-clock (sampled 1-in-256 dispatches) and therefore
+/// host-dependent.
 struct PerfCounters {
-  std::uint64_t events_dispatched = 0;  ///< EventList::run_next dispatches
-  std::uint64_t timers_fired = 0;       ///< Timer/PeriodicTimer callbacks
-  std::uint64_t packets_enqueued = 0;   ///< packets accepted into a Queue
-  std::uint64_t packets_forwarded = 0;  ///< Queue service completions delivered
-  std::uint64_t packets_dropped = 0;    ///< queue tail/AQM/down + pipe loss drops
-
-  // Fault activity (dyn link state + chaos campaigns), sim-deterministic:
-  std::uint64_t down_drops = 0;        ///< Pipe/Queue drops while admin-down
-  std::uint64_t flight_drops = 0;      ///< Pipe::drop_in_flight flushes
-  std::uint64_t flows_dead = 0;        ///< consecutive-RTO dead declarations
-  std::uint64_t chaos_corrupted = 0;   ///< packets corrupted by fault injection
-  std::uint64_t chaos_reordered = 0;   ///< packets swapped out of send order
-  std::uint64_t chaos_duplicated = 0;  ///< packets delivered twice
-  std::uint64_t chaos_blackholed = 0;  ///< ack-blackhole + burst-drop discards
-  std::uint64_t chaos_faults = 0;      ///< fault windows activated
-
-  // Self-healing differential metrics (chaos::run_differential): set once
-  // per run rather than incremented. recovery_s < 0 means no check ran.
-  double recovery_s = -1.0;  ///< sim seconds from last fault clear to reconverge
-  double mtbf_s = 0.0;       ///< campaign horizon / fault count (0 = no faults)
+  MPCC_PERF_FIELDS(MPCC_PERF_DECLARE, MPCC_PERF_DECLARE, MPCC_PERF_SKIP,
+                   MPCC_PERF_SKIP)
 
   HdrHistogram dispatch_ns;       ///< sampled per-event dispatch wall ns
   HdrHistogram queue_depth_pkts;  ///< post-enqueue depth, sampled 1-in-8
   HdrHistogram rtt_us;            ///< per-ACK RTT samples, microseconds
   HdrHistogram fct_us;            ///< fleet flow completion times, microseconds
 
-  void reset();
-
-  /// Writes the ledger into `registry` as perf.* counters plus
-  /// count/mean/p50/p90/p99/p999 gauges per histogram. No-op when nothing
-  /// was counted, so unused runs don't pollute snapshots.
+  /// Writes the ledger into `registry`: DELTA fields as perf.* counters,
+  /// SET fields that were set as perf.* gauges, and count/mean/p50/p90/
+  /// p99/p999/max gauges per histogram. No-op when nothing was counted, so
+  /// unused runs don't pollute snapshots.
   void flush_to_metrics(MetricsRegistry& registry) const;
 };
 
@@ -239,45 +277,17 @@ std::uint64_t thread_alloc_bytes();
 
 /// CPU seconds consumed by the calling thread (CLOCK_THREAD_CPUTIME_ID).
 double thread_cpu_seconds();
-/// Peak resident set size of the process, bytes (getrusage ru_maxrss).
+/// Peak resident set size of this process image, bytes: VmHWM from
+/// /proc/self/status, else getrusage's ru_maxrss.
 std::uint64_t peak_rss_bytes();
 
 // -------------------------------------------------------------- PerfStats
 
-/// The flat, serialisable snapshot of one run's performance: counter deltas
-/// plus host costs. This is what lands in harness::RunReport, the sweep
-/// JSONL checkpoint, and BENCH_core.json.
+/// The flat, serialisable snapshot of one run's performance: every field of
+/// the table. This is what lands in harness::RunReport, the sweep JSONL
+/// checkpoint, and BENCH_core.json.
 struct PerfStats {
-  // Sim-deterministic (bit-identical across --jobs for the same point):
-  std::uint64_t events_dispatched = 0;
-  std::uint64_t timers_fired = 0;
-  std::uint64_t packets_enqueued = 0;
-  std::uint64_t packets_forwarded = 0;
-  std::uint64_t packets_dropped = 0;
-  // Fault activity (sim-deterministic, see PerfCounters):
-  std::uint64_t down_drops = 0;
-  std::uint64_t flight_drops = 0;
-  std::uint64_t flows_dead = 0;
-  std::uint64_t chaos_corrupted = 0;
-  std::uint64_t chaos_reordered = 0;
-  std::uint64_t chaos_duplicated = 0;
-  std::uint64_t chaos_blackholed = 0;
-  std::uint64_t chaos_faults = 0;
-  double recovery_s = -1.0;  ///< worst time-to-reconverge (<0 = no check ran)
-  double mtbf_s = 0.0;       ///< smallest non-zero mean time between faults
-  // Host-dependent:
-  std::uint64_t allocs = 0;        ///< operator new calls during the run
-  std::uint64_t alloc_bytes = 0;   ///< bytes requested from operator new
-  // PoolArena ledger (sim/pool.h), stamped by the RunGuard from the run's
-  // arena: hits are free-list reuses, misses fresh carves, outstanding the
-  // pooled nodes still live at run end. Sim-deterministic like the event
-  // counters (the pool only sees simulation-driven traffic).
-  std::uint64_t pool_hits = 0;
-  std::uint64_t pool_misses = 0;
-  std::uint64_t pool_outstanding = 0;
-  double wall_s = 0;               ///< wall-clock spent in the run body
-  double cpu_s = 0;                ///< thread CPU time spent in the run body
-  std::uint64_t peak_rss = 0;      ///< process peak RSS at run end, bytes
+  MPCC_PERF_EACH(MPCC_PERF_DECLARE)
 
   double events_per_sec() const {
     return wall_s > 0 ? static_cast<double>(events_dispatched) / wall_s : 0.0;
@@ -296,19 +306,25 @@ struct PerfStats {
     return chaos_corrupted + chaos_reordered + chaos_duplicated + chaos_blackholed;
   }
 
-  /// Accumulates `other` (sums counters/costs, max for peak_rss, worst-case
-  /// for recovery_s/mtbf_s) — used to aggregate a sweep's per-point stats.
+  /// Merges `other` in, field by field as the table's merge column says —
+  /// used to aggregate a sweep's per-point stats.
   void accumulate(const PerfStats& other);
 
-  /// Flat JSON object ({"events_dispatched":N,...}), for BENCH_core.json
-  /// and the sweep report.
+  /// Flat JSON object ({"events_dispatched": N, ...}): every field in table
+  /// order, then the three derived rates. Doubles use %.17g, so from_json
+  /// restores every field bit for bit.
   std::string to_json() const;
+
+  /// Reads an object written by to_json, by field name. Missing fields keep
+  /// their initial value and unknown ones (the derived rates) are skipped.
+  static PerfStats from_json(json::Cursor& cur);
 };
 
-/// Captures baseline marks at construction and produces the delta PerfStats
-/// at finish(). The counters reference must outlive the collector. Costs
-/// (allocs, CPU, wall) are measured on the *calling thread*, matching the
-/// one-run-per-thread execution model of the sweep engine.
+/// Captures baseline marks at construction and produces the run's PerfStats
+/// at finish(): DELTA fields as changes, SET fields as left, host costs
+/// measured on the *calling thread* (the sweep engine runs one run per
+/// thread). GUARD fields are the RunGuard's to stamp. The counters
+/// reference must outlive the collector.
 class PerfStatsCollector {
  public:
   explicit PerfStatsCollector(const PerfCounters& counters);
@@ -316,12 +332,7 @@ class PerfStatsCollector {
 
  private:
   const PerfCounters* counters_;
-  std::uint64_t base_events_, base_timers_, base_enq_, base_fwd_, base_drop_;
-  std::uint64_t base_down_, base_flight_, base_dead_;
-  std::uint64_t base_corrupt_, base_reorder_, base_dup_, base_blackhole_,
-      base_faults_;
-  std::uint64_t base_allocs_, base_alloc_bytes_;
-  double base_cpu_;
+  PerfStats base_;  ///< DELTA counters and summed host costs at construction
   std::chrono::steady_clock::time_point base_wall_;
 };
 

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+
+#include "util/json.h"
 
 namespace mpcc::scenario {
 
@@ -14,133 +14,6 @@ namespace {
 
 using harness::MetricSpec;
 using harness::ParamMap;
-using harness::ResultRow;
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-// %.17g round-trips an IEEE double exactly, so rel_tol=0 columns replay
-// bit-identically (same contract as harness/checkpoint.cc).
-std::string json_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-// Minimal cursor for the subset of JSON write_golden emits. Unlike the
-// checkpoint's line-oriented parser this one scans the whole file, so it
-// also skips newlines.
-class Cursor {
- public:
-  explicit Cursor(const std::string& text) : text_(text) {}
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    return pos_ < text_.size() ? text_[pos_] : '\0';
-  }
-
-  void expect(char c) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) {
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          default: c = esc;
-        }
-      }
-      out += c;
-    }
-    if (pos_ >= text_.size()) fail("unterminated string");
-    ++pos_;
-    return out;
-  }
-
-  double parse_number() {
-    skip_ws();
-    const char* start = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    if (end == start) fail("expected number");
-    pos_ += static_cast<std::size_t>(end - start);
-    return v;
-  }
-
-  [[noreturn]] void fail(const std::string& why) const {
-    throw std::invalid_argument("golden file offset " + std::to_string(pos_) +
-                                ": " + why);
-  }
-
- private:
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-ParamMap parse_string_object(Cursor& cur) {
-  ParamMap out;
-  cur.expect('{');
-  if (cur.consume('}')) return out;
-  do {
-    const std::string key = cur.parse_string();
-    cur.expect(':');
-    out[key] = cur.parse_string();
-  } while (cur.consume(','));
-  cur.expect('}');
-  return out;
-}
-
-ResultRow parse_number_object(Cursor& cur) {
-  ResultRow out;
-  cur.expect('{');
-  if (cur.consume('}')) return out;
-  do {
-    const std::string key = cur.parse_string();
-    cur.expect(':');
-    out[key] = cur.parse_number();
-  } while (cur.consume(','));
-  cur.expect('}');
-  return out;
-}
 
 std::string describe_params(const ParamMap& params) {
   std::string out;
@@ -201,33 +74,23 @@ bool write_golden(const GoldenFile& golden, const std::string& path) {
   std::ofstream os(path);
   if (!os) return false;
   os << "{\n  \"mpcc_golden\": 1,\n"
-     << "  \"scenario\": \"" << json_escape(golden.scenario) << "\",\n"
+     << "  \"scenario\": " << json::quote(golden.scenario) << ",\n"
      << "  \"seeds\": " << golden.seeds << ",\n"
      << "  \"seed_base\": " << golden.seed_base << ",\n"
      << "  \"columns\": [";
   for (std::size_t i = 0; i < golden.columns.size(); ++i) {
     const MetricSpec& m = golden.columns[i];
-    os << (i ? ", " : "") << "{\"name\": \"" << json_escape(m.column)
-       << "\", \"rel_tol\": " << json_double(m.rel_tol) << "}";
+    os << (i ? ", " : "") << "{\"name\": " << json::quote(m.column)
+       << ", \"rel_tol\": " << json::number(m.rel_tol) << "}";
   }
   os << "],\n  \"rows\": [\n";
   for (std::size_t i = 0; i < golden.rows.size(); ++i) {
     const GoldenRow& row = golden.rows[i];
-    os << "    {\"params\": {";
-    bool first = true;
-    for (const auto& [key, value] : row.params) {
-      os << (first ? "" : ", ") << '"' << json_escape(key) << "\": \""
-         << json_escape(value) << '"';
-      first = false;
-    }
-    os << "}, \"values\": {";
-    first = true;
-    for (const auto& [key, value] : row.values) {
-      os << (first ? "" : ", ") << '"' << json_escape(key)
-         << "\": " << json_double(value);
-      first = false;
-    }
-    os << "}}" << (i + 1 < golden.rows.size() ? "," : "") << "\n";
+    os << "    {\"params\": ";
+    json::write_object(os, row.params);
+    os << ", \"values\": ";
+    json::write_object(os, row.values);
+    os << "}" << (i + 1 < golden.rows.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";
   return bool(os);
@@ -244,82 +107,48 @@ GoldenFile load_golden(const std::string& path) {
 
   GoldenFile golden;
   bool versioned = false;
-  Cursor cur(text);
-  cur.expect('{');
-  bool first = true;
-  while (!cur.consume('}')) {
-    if (!first) cur.expect(',');
-    first = false;
-    const std::string key = cur.parse_string();
-    cur.expect(':');
+  json::Cursor cur(text, "golden file \"" + path + "\"");
+  cur.fields([&](const std::string& key) {
     if (key == "mpcc_golden") {
-      versioned = static_cast<int>(cur.parse_number()) == 1;
+      versioned = static_cast<int>(cur.number()) == 1;
     } else if (key == "scenario") {
-      golden.scenario = cur.parse_string();
+      golden.scenario = cur.string();
     } else if (key == "seeds") {
-      golden.seeds = static_cast<int>(cur.parse_number());
+      golden.seeds = static_cast<int>(cur.number());
     } else if (key == "seed_base") {
-      golden.seed_base = static_cast<std::uint64_t>(cur.parse_number());
+      golden.seed_base = static_cast<std::uint64_t>(cur.number());
     } else if (key == "columns") {
-      cur.expect('[');
-      if (!cur.consume(']')) {
-        do {
-          cur.expect('{');
-          MetricSpec m;
-          bool cfirst = true;
-          while (!cur.consume('}')) {
-            if (!cfirst) cur.expect(',');
-            cfirst = false;
-            const std::string ckey = cur.parse_string();
-            cur.expect(':');
-            if (ckey == "name") {
-              m.column = cur.parse_string();
-            } else if (ckey == "rel_tol") {
-              m.rel_tol = cur.parse_number();
-            } else if (cur.peek() == '"') {
-              cur.parse_string();
-            } else {
-              cur.parse_number();
-            }
+      cur.items([&] {
+        MetricSpec m;
+        cur.fields([&](const std::string& ckey) {
+          if (ckey == "name") {
+            m.column = cur.string();
+          } else if (ckey == "rel_tol") {
+            m.rel_tol = cur.number();
+          } else {
+            cur.skip();
           }
-          golden.columns.push_back(std::move(m));
-        } while (cur.consume(','));
-        cur.expect(']');
-      }
+        });
+        golden.columns.push_back(std::move(m));
+      });
     } else if (key == "rows") {
-      cur.expect('[');
-      if (!cur.consume(']')) {
-        do {
-          cur.expect('{');
-          GoldenRow row;
-          bool rfirst = true;
-          while (!cur.consume('}')) {
-            if (!rfirst) cur.expect(',');
-            rfirst = false;
-            const std::string rkey = cur.parse_string();
-            cur.expect(':');
-            if (rkey == "params") {
-              row.params = parse_string_object(cur);
-            } else if (rkey == "values") {
-              row.values = parse_number_object(cur);
-            } else if (cur.peek() == '{') {
-              parse_string_object(cur);
-            } else if (cur.peek() == '"') {
-              cur.parse_string();
-            } else {
-              cur.parse_number();
-            }
+      cur.items([&] {
+        GoldenRow row;
+        cur.fields([&](const std::string& rkey) {
+          if (rkey == "params") {
+            row.params = cur.string_object();
+          } else if (rkey == "values") {
+            row.values = cur.number_object();
+          } else {
+            cur.skip();
           }
-          golden.rows.push_back(std::move(row));
-        } while (cur.consume(','));
-        cur.expect(']');
-      }
-    } else if (cur.peek() == '"') {
-      cur.parse_string();
+        });
+        golden.rows.push_back(std::move(row));
+      });
     } else {
-      cur.parse_number();
+      cur.skip();
     }
-  }
+  });
   if (!versioned) {
     throw std::invalid_argument("\"" + path +
                                 "\" is not an mpcc golden file (bad header)");
@@ -356,9 +185,9 @@ std::vector<std::string> diff_golden(const GoldenFile& want,
         want.columns[i].rel_tol != got.columns[i].rel_tol) {
       out.push_back("column " + std::to_string(i) + " changed: stored \"" +
                     want.columns[i].column + "\" tol " +
-                    json_double(want.columns[i].rel_tol) + " vs fresh \"" +
+                    json::number(want.columns[i].rel_tol) + " vs fresh \"" +
                     got.columns[i].column + "\" tol " +
-                    json_double(got.columns[i].rel_tol));
+                    json::number(got.columns[i].rel_tol));
     }
   }
   if (!out.empty()) return out;
@@ -399,10 +228,10 @@ std::vector<std::string> diff_golden(const GoldenFile& want,
       if (!ok) {
         out.push_back("row " + std::to_string(i) + " {" +
                       describe_params(w.params) + "} column \"" + m.column +
-                      "\": stored " + json_double(a) + " vs fresh " +
-                      json_double(b) +
+                      "\": stored " + json::number(a) + " vs fresh " +
+                      json::number(b) +
                       (m.rel_tol == 0 ? " (exact)"
-                                      : " (rel_tol " + json_double(m.rel_tol) +
+                                      : " (rel_tol " + json::number(m.rel_tol) +
                                             ")"));
       }
     }

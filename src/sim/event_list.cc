@@ -44,12 +44,8 @@ void EventList::profiled_dispatch(EventSource* src) {
   if (entry.dispatches == 0) entry.name = src->name();
   ++entry.dispatches;
   entry.wall_ns += ns;
-  if (wall_hist_ == nullptr) {
-    wall_hist_ = &obs::metrics().histogram(
-        "sim.event_wall_ns", {/*min_value=*/16.0, /*growth=*/2.0,
-                              /*num_buckets=*/32});
-  }
-  wall_hist_->record(static_cast<double>(ns));
+  if (wall_hist_ == nullptr) wall_hist_ = &obs::metrics().histogram("sim.event_wall_ns");
+  wall_hist_->record(ns);
 }
 
 std::vector<EventList::SourceProfile> EventList::profile() const {

@@ -36,7 +36,7 @@
 namespace mpcc {
 
 namespace obs {
-class Histogram;
+class HdrHistogram;
 class MetricsRegistry;
 struct PerfCounters;
 }  // namespace obs
@@ -260,7 +260,7 @@ class EventList {
   // Resolved against the run's registry on first profiled dispatch; a
   // per-instance handle (not a function-local static) because each
   // SimContext owns its own registry.
-  obs::Histogram* wall_hist_ = nullptr;
+  obs::HdrHistogram* wall_hist_ = nullptr;
   // Cached perf ledger (lazy obs::bound_perf, resolved against the
   // thread-current ledger at the first counted dispatch — same convention
   // as every other counting component): one member load per dispatch

@@ -263,11 +263,8 @@ void TcpSrc::handle_new_ack(const Packet& ack) {
               static_cast<double>(rtt_.srtt()) / kMicrosecond);
     // Hot-path histogram rides the cwnd trace bit (see queue occupancy).
     // Per-instance handle: each SimContext owns its own registry.
-    if (rtt_metric_ == nullptr) {
-      rtt_metric_ = &obs::metrics().histogram(
-          "tcp.rtt_us", {/*min_value=*/10.0, /*growth=*/2.0, /*num_buckets=*/24});
-    }
-    rtt_metric_->record(static_cast<double>(rtt_sample) / kMicrosecond);
+    if (rtt_metric_ == nullptr) rtt_metric_ = &obs::metrics().histogram("tcp.rtt_us");
+    rtt_metric_->record(static_cast<std::uint64_t>(rtt_sample / kMicrosecond));
   }
   hooks_->on_ack(*this, newly, ack.ecn_echo, rtt_sample);
 

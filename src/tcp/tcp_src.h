@@ -241,7 +241,7 @@ class TcpSrc : public PacketHandler, public EventSource {
   TcpConfig config_;
   std::uint64_t flow_id_;
   obs::SourceId trace_src_;
-  obs::Histogram* rtt_metric_ = nullptr;  // lazily bound to the run's registry
+  obs::HdrHistogram* rtt_metric_ = nullptr;  // lazily bound to the run's registry
   obs::PerfCounters* perf_ctrs_ = nullptr;  // cached perf ledger (obs::bound_perf)
   std::uint64_t new_acks_ = 0;  // drives the 1-in-8 perf RTT sampling
   const Route* forward_ = nullptr;

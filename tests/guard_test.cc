@@ -7,6 +7,8 @@
 // core.condition1.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -19,6 +21,7 @@
 #include "harness/sweep.h"
 #include "mptcp/connection.h"
 #include "net/network.h"
+#include "obs/perf.h"
 #include "sim/context.h"
 #include "sim/event_list.h"
 #include "sim/invariants.h"
@@ -263,8 +266,34 @@ TEST(SweepGuard, FailFastSkipsLaterPointsButMarksThem) {
 
 // --------------------------------------------------- checkpoint read/write
 
+// Bit pattern of a perf-ledger field, so doubles compare bit for bit.
+std::uint64_t bits(std::uint64_t v) { return v; }
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// A ledger whose fields all differ from each other and from their initial
+// values; every double needs all 17 significant digits to round-trip.
+obs::PerfStats distinct_perf(int first) {
+  obs::PerfStats perf;
+  int n = first;
+#define MPCC_DISTINCT(name, type, init, merge) \
+  perf.name = static_cast<type>(++n * 1'000'003) + static_cast<type>(1.0 / 3.0);
+  MPCC_PERF_EACH(MPCC_DISTINCT)
+#undef MPCC_DISTINCT
+  return perf;
+}
+
+void expect_same_perf(const obs::PerfStats& got, const obs::PerfStats& want) {
+#define MPCC_SAME(name, type, init, merge) \
+  EXPECT_EQ(bits(got.name), bits(want.name)) << #name;
+  MPCC_PERF_EACH(MPCC_SAME)
+#undef MPCC_SAME
+}
+
 TEST(Checkpoint, RoundTripsEntriesExactly) {
   const std::string path = temp_path("guard_ck_roundtrip.jsonl");
+  obs::PerfStats e_perf = distinct_perf(0);  // recovery_s > 0
+  obs::PerfStats f_perf = distinct_perf(100);
+  f_perf.recovery_s = -1.0;  // no healing check ran
   {
     CheckpointWriter writer(path, "selftest", 3, /*append_mode=*/false);
     CheckpointEntry e;
@@ -274,6 +303,7 @@ TEST(Checkpoint, RoundTripsEntriesExactly) {
     e.wall_ms = 12.5;
     e.params = {{"mode", "ok"}, {"seed", "1"}};
     e.values = {{"signature", 17979.921690389816}, {"ticks", 1000.0}};
+    e.perf = e_perf;
     writer.append(e);
     CheckpointEntry f;
     f.index = 2;
@@ -283,6 +313,7 @@ TEST(Checkpoint, RoundTripsEntriesExactly) {
     f.error = "invariant violated \"quoted\"\nwith newline";
     f.domain = "selftest";
     f.params = {{"mode", "invariant"}, {"seed", "1"}};
+    f.perf = f_perf;
     writer.append(f);
   }
   const CheckpointData data = harness::load_checkpoint(path);
@@ -293,10 +324,64 @@ TEST(Checkpoint, RoundTripsEntriesExactly) {
   EXPECT_TRUE(e.ok);
   EXPECT_EQ(e.params.at("mode"), "ok");
   EXPECT_EQ(e.values.at("signature"), 17979.921690389816);  // bit-exact
+  expect_same_perf(e.perf, e_perf);
   const CheckpointEntry& f = data.entries.at(2);
   EXPECT_EQ(f.kind, RunErrorKind::kInvariantViolation);
   EXPECT_EQ(f.sim_time, seconds(0.5));
   EXPECT_EQ(f.error, "invariant violated \"quoted\"\nwith newline");
+  expect_same_perf(f.perf, f_perf);
+
+  // A line in the compact format of earlier releases (perf fields in a
+  // different order, no derived rates) still loads, so --resume works on a
+  // checkpoint written before the upgrade.
+  const std::string old_path = temp_path("guard_ck_compact.jsonl");
+  {
+    std::FILE* file = std::fopen(old_path.c_str(), "wb");
+    ASSERT_NE(file, nullptr);
+    std::fputs(
+        R"({"mpcc_sweep_checkpoint":1,"scenario":"chaos_heal","points":1})" "\n"
+        R"({"index":0,"ok":true,"kind":"none","wall_ms":138.617389,)"
+        R"("sim_time_ns":-1,"error":"","domain":"",)"
+        R"("params":{"duration_s":"10","seed":"1"},)"
+        R"("values":{"bytes_mb":196.05756,"epb_err":0.13737921766104985},)"
+        R"("perf":{"events_dispatched":539606,"timers_fired":1003,)"
+        R"("packets_enqueued":269477,"packets_forwarded":269453,)"
+        R"("packets_dropped":114,"down_drops":0,"flight_drops":0,)"
+        R"("flows_dead":0,"chaos_corrupted":0,"chaos_reordered":137,)"
+        R"("chaos_duplicated":0,"chaos_blackholed":110,"chaos_faults":2,)"
+        R"("recovery_s":0,"mtbf_s":2,"allocs":269447,"alloc_bytes":13818117,)"
+        R"("pool_hits":45941,"pool_misses":8286,"pool_outstanding":0,)"
+        R"("wall_s":0.13855157300000001,"cpu_s":0.13767395000000002,)"
+        R"("peak_rss":5570560}})" "\n",
+        file);
+    std::fclose(file);
+  }
+  const CheckpointData old = harness::load_checkpoint(old_path);
+  EXPECT_EQ(old.scenario, "chaos_heal");
+  ASSERT_EQ(old.entries.count(0), 1u);
+  const CheckpointEntry& o = old.entries.at(0);
+  EXPECT_TRUE(o.ok);
+  EXPECT_EQ(o.params.at("duration_s"), "10");
+  EXPECT_EQ(o.values.at("epb_err"), 0.13737921766104985);
+  obs::PerfStats want;
+  want.events_dispatched = 539606;
+  want.timers_fired = 1003;
+  want.packets_enqueued = 269477;
+  want.packets_forwarded = 269453;
+  want.packets_dropped = 114;
+  want.chaos_reordered = 137;
+  want.chaos_blackholed = 110;
+  want.chaos_faults = 2;
+  want.recovery_s = 0;
+  want.mtbf_s = 2;
+  want.allocs = 269447;
+  want.alloc_bytes = 13818117;
+  want.pool_hits = 45941;
+  want.pool_misses = 8286;
+  want.wall_s = 0.13855157300000001;
+  want.cpu_s = 0.13767395000000002;
+  want.peak_rss = 5570560;
+  expect_same_perf(o.perf, want);
 }
 
 TEST(Checkpoint, ToleratesTornTrailingLine) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -167,46 +169,9 @@ TEST_F(ObsTest, TypeMismatchReturnsScratchMetric) {
   EXPECT_EQ(obs::metrics().counter("test.obs.typed").value(), 1u);
 }
 
-TEST_F(ObsTest, HistogramBucketBoundaries) {
-  // Buckets: [<10), [10,20), [20,40), [40,80), ... last absorbs overflow.
-  obs::Histogram h({10.0, 2.0, 5});
-  EXPECT_EQ(h.bucket_index(0.0), 0);
-  EXPECT_EQ(h.bucket_index(9.999), 0);
-  EXPECT_EQ(h.bucket_index(10.0), 1);
-  EXPECT_EQ(h.bucket_index(19.999), 1);
-  EXPECT_EQ(h.bucket_index(20.0), 2);
-  EXPECT_EQ(h.bucket_index(40.0), 3);
-  EXPECT_EQ(h.bucket_index(1e12), 4);  // clamped into the last bucket
-  EXPECT_DOUBLE_EQ(h.bucket_lower_bound(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bucket_lower_bound(1), 10.0);
-  EXPECT_DOUBLE_EQ(h.bucket_lower_bound(3), 40.0);
-}
-
-TEST_F(ObsTest, HistogramStatsAndPercentiles) {
-  obs::Histogram h({1.0, 2.0, 20});
-  for (int i = 1; i <= 100; ++i) h.record(static_cast<double>(i));
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_DOUBLE_EQ(h.sum(), 5050.0);
-  EXPECT_DOUBLE_EQ(h.mean(), 50.5);
-  EXPECT_DOUBLE_EQ(h.min(), 1.0);
-  EXPECT_DOUBLE_EQ(h.max(), 100.0);
-  // Coarse buckets: percentile estimates land within the right bucket, so
-  // allow a factor-of-2 band around the exact quantile.
-  const double p50 = h.percentile(0.5);
-  EXPECT_GE(p50, 25.0);
-  EXPECT_LE(p50, 100.0);
-  const double p99 = h.percentile(0.99);
-  EXPECT_GE(p99, 64.0);
-  EXPECT_LE(p99, 100.0);
-  EXPECT_GE(p99, p50);
-  // Extremes clamp to observed min/max.
-  EXPECT_DOUBLE_EQ(h.percentile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(h.percentile(1.0), 100.0);
-}
-
 TEST_F(ObsTest, RegistryResetZeroesValuesKeepsEntries) {
   obs::metrics().counter("test.obs.reset").inc(7);
-  obs::metrics().histogram("test.obs.reset_h").record(3.0);
+  obs::metrics().histogram("test.obs.reset_h").record(3);
   const std::size_t before = obs::metrics().size();
   obs::metrics().reset();
   EXPECT_EQ(obs::metrics().size(), before);
@@ -505,10 +470,10 @@ TEST_F(ObsTest, PerfCountersAttributeToScopedContext) {
   EXPECT_EQ(ctx.perf().packets_enqueued, 2u);
 }
 
-// The five sim counters of every sweep point must be bit-identical no
-// matter how many worker threads executed the sweep — that's the isolation
-// contract SimContext exists to provide (host costs like wall/allocs are
-// explicitly exempt).
+// The sim-deterministic ledger fields (DELTA, SET and GUARD in the field
+// table) of every sweep point must be bit-identical no matter how many
+// worker threads executed the sweep — that's the isolation contract
+// SimContext exists to provide (HOST costs like wall/allocs are exempt).
 TEST_F(ObsTest, SweepPerfCountersIdenticalAcrossJobs) {
   harness::SweepPlan plan;
   plan.scenario = "two_path";
@@ -531,11 +496,10 @@ TEST_F(ObsTest, SweepPerfCountersIdenticalAcrossJobs) {
     const obs::PerfStats& b = r8.points[i].perf;
     ASSERT_TRUE(r1.points[i].ok) << r1.points[i].error;
     ASSERT_TRUE(r8.points[i].ok) << r8.points[i].error;
-    EXPECT_EQ(a.events_dispatched, b.events_dispatched) << "point " << i;
-    EXPECT_EQ(a.timers_fired, b.timers_fired) << "point " << i;
-    EXPECT_EQ(a.packets_enqueued, b.packets_enqueued) << "point " << i;
-    EXPECT_EQ(a.packets_forwarded, b.packets_forwarded) << "point " << i;
-    EXPECT_EQ(a.packets_dropped, b.packets_dropped) << "point " << i;
+#define MPCC_SAME(name, type, init, merge) \
+  EXPECT_EQ(a.name, b.name) << #name << ", point " << i;
+    MPCC_PERF_FIELDS(MPCC_SAME, MPCC_SAME, MPCC_SAME, MPCC_PERF_SKIP)
+#undef MPCC_SAME
     // A real run does real work; zero everywhere would mean the counters
     // are not wired, not that the run was identical.
     EXPECT_GT(a.events_dispatched, 0u) << "point " << i;
@@ -613,6 +577,27 @@ TEST_F(ObsTest, PerfStatsJsonRoundTripsThroughCheckpoint) {
   EXPECT_DOUBLE_EQ(pf.wall_s, 1.25);
   EXPECT_DOUBLE_EQ(pf.cpu_s, 1.125);
   EXPECT_EQ(pf.peak_rss, std::uint64_t{64} << 20);
+}
+
+// Linux keeps getrusage's ru_maxrss across execve, so the reported peak
+// must come from the process image itself: a sweep launched from a large
+// process reports its own footprint, not its launcher's.
+TEST_F(ObsTest, PeakRssIsTheSweepsOwnNotItsLaunchers) {
+  std::vector<char> ballast(std::size_t{256} << 20);
+  for (std::size_t i = 0; i < ballast.size(); i += 4096) ballast[i] = 1;
+  std::FILE* pipe =
+      popen("\"" MPCC_SWEEP_BIN "\" --scenario=selftest --quiet 2>&1", "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string out;
+  char buf[256];
+  while (std::fgets(buf, sizeof buf, pipe) != nullptr) out += buf;
+  ASSERT_EQ(pclose(pipe), 0) << out;
+  const std::size_t at = out.find("peak rss ");
+  ASSERT_NE(at, std::string::npos) << out;
+  const double mb = std::strtod(out.c_str() + at + 9, nullptr);
+  EXPECT_GT(mb, 0.0) << out;
+  EXPECT_LT(mb, 64.0) << out;
+  EXPECT_EQ(ballast[ballast.size() / 2], 1);  // held until the child exited
 }
 
 TEST_F(ObsTest, BenchEnvJsonHasProvenanceFields) {

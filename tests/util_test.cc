@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "net/network.h"
 #include "util/csv.h"
 #include "util/fixed_point.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/units.h"
@@ -321,6 +326,73 @@ TEST(Table, PrintAndCsv) {
   std::string row1;
   std::getline(in, row1);
   EXPECT_EQ(row1, "alpha,1.5,10");
+}
+
+// ------------------------------------------------------------------- json
+
+TEST(Json, ObjectsRoundTripStringsAndDoublesExactly) {
+  const std::map<std::string, std::string> strings = {
+      {"plain", "abc"}, {"quote\"d", "a \"b\" \\c"}, {"ctl", "tab\tnl\nbell\a"}};
+  const std::map<std::string, double> numbers = {
+      {"third", 1.0 / 3.0}, {"tiny", 5e-324}, {"neg", -17979.921690389816}};
+  std::ostringstream os;
+  json::write_object(os, strings);
+  os << ' ';
+  json::write_object(os, numbers);
+  const std::string text = os.str();
+  EXPECT_EQ(text.find('\a'), std::string::npos);  // control chars escaped
+
+  json::Cursor cur(text, "test");
+  EXPECT_EQ(cur.string_object(), strings);
+  const std::map<std::string, double> back = cur.number_object();
+  ASSERT_EQ(back.size(), numbers.size());
+  for (const auto& [key, value] : numbers) EXPECT_EQ(back.at(key), value) << key;
+}
+
+TEST(Json, WriterMatchesTheGoldenBankLayout) {
+  std::ostringstream os;
+  json::write_object(os, std::map<std::string, std::string>{{"cc", "lia"}, {"seed", "1"}});
+  json::write_object(os, std::map<std::string, double>{{"x", 0.1}});
+  json::write_object(os, std::map<std::string, double>{});
+  EXPECT_EQ(os.str(), "{\"cc\": \"lia\", \"seed\": \"1\"}{\"x\": 0.10000000000000001}{}");
+  EXPECT_EQ(json::number(std::uint64_t{18446744073709551615u}), "18446744073709551615");
+}
+
+TEST(Json, CursorWalksFieldsAndItemsAndSkipsUnknownValues) {
+  const std::string text =
+      "{\"n\": 2, \"skip_obj\": {\"a\": [1, {\"b\": null}], \"c\": \"}\"},\n"
+      " \"list\": [\"x\", \"y\"], \"flag\": false, \"skip_null\": null}";
+  json::Cursor cur(text, "test");
+  double n = 0;
+  std::vector<std::string> list;
+  bool flag = true;
+  cur.fields([&](const std::string& key) {
+    if (key == "n") {
+      n = cur.number();
+    } else if (key == "list") {
+      cur.items([&] { list.push_back(cur.string()); });
+    } else if (key == "flag") {
+      flag = cur.boolean();
+    } else {
+      cur.skip();
+    }
+  });
+  EXPECT_EQ(n, 2.0);
+  EXPECT_EQ(list, (std::vector<std::string>{"x", "y"}));
+  EXPECT_FALSE(flag);
+}
+
+TEST(Json, CursorErrorsNameWhereAndOffset) {
+  const std::string torn = "{\"index\": 1, \"ok\": tr";
+  json::Cursor cur(torn, "checkpoint line 7");
+  try {
+    cur.skip();
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("checkpoint line 7"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("offset"), std::string::npos) << msg;
+  }
 }
 
 }  // namespace

@@ -43,6 +43,7 @@
 #include "sim/pool.h"
 #include "topo/two_path.h"
 #include "traffic/bulk_flow.h"
+#include "util/json.h"
 
 namespace {
 
@@ -52,8 +53,8 @@ using namespace mpcc;
 
 /// What one benchmark body reports back: how many unit operations it
 /// performed, and (for bodies whose inner runs use their own scoped
-/// SimContexts, invisible to the outer collector) an override for the five
-/// sim counters.
+/// SimContexts, invisible to the outer collector) the inner runs' ledger,
+/// whose sim-deterministic fields replace the outer ones.
 struct BenchRun {
   std::uint64_t ops = 0;
   std::optional<obs::PerfStats> counter_override;
@@ -99,14 +100,12 @@ BenchResult run_bench(const BenchSpec& spec, bool smoke) {
   result.ops = run.ops;
   result.perf = collector.finish();
   if (run.counter_override.has_value()) {
-    // Keep this thread's host costs (wall, cpu, allocs, rss); take the sim
-    // counters from the inner runs' own ledgers.
+    // Keep this thread's host costs (wall, cpu, allocs, rss); take every
+    // sim-deterministic field from the inner runs' own ledgers.
     const obs::PerfStats& inner = *run.counter_override;
-    result.perf.events_dispatched = inner.events_dispatched;
-    result.perf.timers_fired = inner.timers_fired;
-    result.perf.packets_enqueued = inner.packets_enqueued;
-    result.perf.packets_forwarded = inner.packets_forwarded;
-    result.perf.packets_dropped = inner.packets_dropped;
+#define MPCC_INNER(name, type, init, merge) result.perf.name = inner.name;
+    MPCC_PERF_FIELDS(MPCC_INNER, MPCC_INNER, MPCC_INNER, MPCC_PERF_SKIP)
+#undef MPCC_INNER
   }
   return result;
 }
@@ -430,15 +429,6 @@ AbResult measure_perf_overhead(int reps, bool smoke) {
 
 // ----------------------------------------------------------------- emitters
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 bool write_json(const std::string& path, const std::vector<BenchResult>& results,
                 const std::optional<AbResult>& ab, bool smoke) {
   std::ofstream os(path);
@@ -455,7 +445,7 @@ bool write_json(const std::string& path, const std::vector<BenchResult>& results
                   "\"ops_per_sec\": %.2f, \"allocs_per_op\": %.3f,\n",
                   static_cast<unsigned long long>(r.ops), r.perf.wall_s,
                   r.ns_per_op(), r.ops_per_sec(), r.allocs_per_op());
-    os << "    {\"name\": \"" << json_escape(r.name) << "\", " << buf
+    os << "    {\"name\": " << json::quote(r.name) << ", " << buf
        << "      \"perf\": " << r.perf.to_json() << "}"
        << (i + 1 < results.size() ? "," : "") << "\n";
   }
