@@ -2,6 +2,7 @@
 
 #include <fstream>
 
+#include "util/json.h"
 #include "util/logging.h"
 
 namespace mpcc::obs {
@@ -119,7 +120,7 @@ void MetricsRegistry::write_json(const std::string& path) const {
   for (const auto& [name, entry] : entries_) {
     if (!first) os << ",";
     first = false;
-    os << "\n  {\"name\":\"" << name << "\",";
+    os << "\n  {\"name\":" << json::quote(name) << ",";
     switch (entry.type) {
       case Entry::Type::kCounter:
         os << "\"type\":\"counter\",\"value\":" << entry.counter->value() << "}";
